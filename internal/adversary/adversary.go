@@ -85,21 +85,27 @@ func (r Replay) Next(v core.View) *tree.Tree {
 
 var _ core.Adversary = Replay{}
 
-// reachSets materializes the reach sets R_x (rows of the adjacency matrix)
-// from a view's heard sets (columns): y ∈ R_x iff x ∈ K_y. O(n²) bit ops.
-func reachSets(v core.View) []*bitset.Set {
-	n := v.N()
-	rows := make([]*bitset.Set, n)
-	for x := 0; x < n; x++ {
-		rows[x] = bitset.New(n)
+// reachCounts sets reach[x] to |R_x|, the number of processes that have
+// heard x, for every x: the column popcounts of the view's heard rows
+// (y ∈ R_x iff x ∈ K_y), counted tile by tile by bitset.ColumnCounts.
+// rows is scratch for the n heard rows; len(rows) == len(reach) == n.
+func reachCounts(v core.View, rows [][]uint64, reach []int) {
+	for y := range rows {
+		rows[y] = v.Heard(y).Words()
 	}
-	for y := 0; y < n; y++ {
-		v.Heard(y).ForEach(func(x int) bool {
-			rows[x].Set(y)
-			return true
-		})
+	bitset.ColumnCounts(reach, rows)
+}
+
+// leaderOf returns the incomplete value with the largest reach, ties by
+// id, or -1 once every value has reached all len(reach) processes.
+func leaderOf(reach []int) int {
+	leader, best := -1, -1
+	for x, c := range reach {
+		if c < len(reach) && c > best {
+			leader, best = x, c
+		}
 	}
-	return rows
+	return leader
 }
 
 // heardCounts returns |K_y| for every y.

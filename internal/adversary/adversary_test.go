@@ -180,22 +180,61 @@ func TestBlockLeaderFreezesLeader(t *testing.T) {
 	for r := 0; r < 10 && !e.BroadcastDone(); r++ {
 		leader, before := leaderReach(e)
 		e.Step(adv.Next(e))
-		after := reachSets(e)[leader].Count()
+		after := reachOf(e, leader)
 		if after != before {
 			t.Fatalf("round %d: leader %d reach grew %d -> %d", r, leader, before, after)
 		}
 	}
 }
 
+// reachOf counts |R_x| bit by bit: the per-bit model the tile-transpose
+// reach counts of BlockLeader are checked against.
+func reachOf(v core.View, x int) int {
+	c := 0
+	for y := 0; y < v.N(); y++ {
+		if v.Heard(y).Test(x) {
+			c++
+		}
+	}
+	return c
+}
+
 func leaderReach(v core.View) (int, int) {
-	rows := reachSets(v)
 	leader, best := -1, -1
 	for x := 0; x < v.N(); x++ {
-		if c := rows[x].Count(); c < v.N() && c > best {
+		if c := reachOf(v, x); c < v.N() && c > best {
 			leader, best = x, c
 		}
 	}
 	return leader, best
+}
+
+// TestReachCountsMatchPerBitModel pins the tile-transpose reach counts
+// and the leader BlockLeader picks from them against the per-bit model,
+// on packed and matrix views at sizes off and on the 64-bit word edges,
+// every round of random-tree runs.
+func TestReachCountsMatchPerBitModel(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 130} {
+		src := rng.New(uint64(n))
+		e, m := core.NewEngine(n), core.NewMatrixEngine(n)
+		for round := 0; round < 2*n && !e.BroadcastDone(); round++ {
+			for _, v := range []core.View{e, m} {
+				reach := make([]int, n)
+				reachCounts(v, make([][]uint64, n), reach)
+				for x := range reach {
+					if want := reachOf(v, x); reach[x] != want {
+						t.Fatalf("n=%d round %d: |R_%d| = %d, per-bit model %d", n, round, x, reach[x], want)
+					}
+				}
+				if want, _ := leaderReach(v); leaderOf(reach) != want {
+					t.Fatalf("n=%d round %d: leader %d, per-bit model %d", n, round, leaderOf(reach), want)
+				}
+			}
+			tr := tree.Random(n, src)
+			e.Step(tr)
+			m.Step(tr)
+		}
+	}
 }
 
 func TestBlockLeaderWithinBounds(t *testing.T) {

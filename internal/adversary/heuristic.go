@@ -72,16 +72,12 @@ type BlockLeader struct{}
 // Next implements core.Adversary.
 func (BlockLeader) Next(v core.View) *tree.Tree {
 	n := v.N()
-	rows := reachSets(v)
+	reach := make([]int, n)
+	reachCounts(v, make([][]uint64, n), reach)
 	counts := heardCounts(v)
 
 	// Leader: incomplete value with maximum reach; ties by id.
-	leader, best := -1, -1
-	for x := 0; x < n; x++ {
-		if c := rows[x].Count(); c < n && c > best {
-			leader, best = x, c
-		}
-	}
+	leader := leaderOf(reach)
 	if leader < 0 {
 		// Every value has completed (broadcast done); any tree is fine.
 		return tree.IdentityPath(n)

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"dyntreecast/internal/bitset"
 	"dyntreecast/internal/core"
 	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
@@ -171,14 +170,14 @@ func (a *ReusableAscendingPath) Next(v core.View) *tree.Tree {
 	return tree.PathInto(&a.buf, order)
 }
 
-// ReusableBlockLeader is BlockLeader with pooled reach-set rows and sort
-// scratch: the bitset rows are built once per n and refilled in place
-// each round instead of being reallocated per trial.
+// ReusableBlockLeader is BlockLeader with pooled reach-count and sort
+// scratch, grown once per n and refilled in place each round instead of
+// being reallocated per trial.
 type ReusableBlockLeader struct {
-	buf                tree.Buf
-	rows               []*bitset.Set
-	counts, order, tmp []int
-	bucket             []int
+	buf                       tree.Buf
+	rows                      [][]uint64
+	reach, counts, order, tmp []int
+	bucket                    []int
 }
 
 // NewReusableBlockLeader returns a reusable BlockLeader.
@@ -188,46 +187,19 @@ func NewReusableBlockLeader() *ReusableBlockLeader { return &ReusableBlockLeader
 // source-free).
 func (*ReusableBlockLeader) Reset(*rng.Source) {}
 
-// reachRows refills the pooled rows with the view's reach sets — the
-// in-place sibling of reachSets.
-func (a *ReusableBlockLeader) reachRows(v core.View) []*bitset.Set {
-	n := v.N()
-	if len(a.rows) != n || (n > 0 && a.rows[0].Len() != n) {
-		a.rows = make([]*bitset.Set, n)
-		for x := range a.rows {
-			a.rows[x] = bitset.New(n)
-		}
-	} else {
-		for _, r := range a.rows {
-			r.Reset()
-		}
-	}
-	for y := 0; y < n; y++ {
-		v.Heard(y).ForEach(func(x int) bool {
-			a.rows[x].Set(y)
-			return true
-		})
-	}
-	return a.rows
-}
-
 // Next implements core.Adversary: the same leader choice and path order
 // as BlockLeader, with every buffer pooled.
 func (a *ReusableBlockLeader) Next(v core.View) *tree.Tree {
 	n := v.N()
-	rows := a.reachRows(v)
+	reach := tree.Grow(&a.reach, n)
+	reachCounts(v, tree.Grow(&a.rows, n), reach)
 	counts := tree.Grow(&a.counts, n)
 	for y := 0; y < n; y++ {
 		counts[y] = v.Heard(y).Count()
 	}
 
 	// Leader: incomplete value with maximum reach; ties by id.
-	leader, best := -1, -1
-	for x := 0; x < n; x++ {
-		if c := rows[x].Count(); c < n && c > best {
-			leader, best = x, c
-		}
-	}
+	leader := leaderOf(reach)
 	if leader < 0 {
 		// Every value has completed (broadcast done); any tree is fine.
 		// (IdentityPath allocates, but this round is unreachable from the

@@ -31,6 +31,24 @@ func OrWords(dst, src []uint64) {
 	}
 }
 
+// OrAndWords sets dst |= src, then acc &= dst, word-wise in one pass
+// (range is over src), and reports whether acc still has a bit set. It is
+// the packed engine's fused round kernel: one call merges a heard row and
+// folds the merged row into the running intersection while it is still
+// in cache.
+func OrAndWords(dst, src, acc []uint64) bool {
+	_, _ = dst[:len(src)], acc[:len(src)] // bounds hints
+	var any uint64
+	for i, w := range src {
+		d := dst[i] | w
+		dst[i] = d
+		a := acc[i] & d
+		acc[i] = a
+		any |= a
+	}
+	return any != 0
+}
+
 // AndWords sets dst &= src word-wise (range is over src).
 func AndWords(dst, src []uint64) {
 	_ = dst[:len(src)]
@@ -126,6 +144,37 @@ func Transpose64(w *[64]uint64) {
 			w[k+j] ^= t
 		}
 		m ^= m << uint(j>>1)
+	}
+}
+
+// ColumnCounts sets counts[j], for every j < len(counts), to the number
+// of rows with bit j set: the column popcounts of the bit matrix whose
+// rows are rows. Every row must hold at least WordsFor(len(counts))
+// words, with bits at positions >= len(counts) clear. The rows are read
+// in 64×64 tiles, each transposed once (Transpose64) so a column's bits
+// land in one word and are counted by one popcount: O(rows·n/64) word
+// operations instead of a bit test per entry.
+func ColumnCounts(counts []int, rows [][]uint64) {
+	n := len(counts)
+	for j := range counts {
+		counts[j] = 0
+	}
+	var tile [64]uint64
+	for wi := 0; wi < wordsFor(n); wi++ {
+		cols := counts[wi*wordBits : min(n, (wi+1)*wordBits)]
+		for band := 0; band < len(rows); band += 64 {
+			r := rows[band:min(len(rows), band+64)]
+			for i, row := range r {
+				tile[i] = row[wi]
+			}
+			for i := len(r); i < 64; i++ {
+				tile[i] = 0
+			}
+			Transpose64(&tile)
+			for j := range cols {
+				cols[j] += bits.OnesCount64(tile[j])
+			}
+		}
 	}
 }
 

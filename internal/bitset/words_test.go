@@ -82,6 +82,100 @@ func TestWordKernelsMatchSets(t *testing.T) {
 	}
 }
 
+// TestOrAndWordsMatchesSets pins the fused round kernel against the
+// per-bit Set model: dst becomes dst ∪ src, acc becomes acc ∩ (dst ∪ src),
+// and the result reports whether acc is non-empty — including the
+// all-ones and empty accumulators the engine starts and ends with.
+func TestOrAndWordsMatchesSets(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 3, 63, 64, 65, 100, 129, 256} {
+		for trial := 0; trial < 20; trial++ {
+			dst, src, acc := randWords(r, n), randWords(r, n), randWords(r, n)
+			switch trial % 4 {
+			case 1:
+				FillWords(acc, n)
+			case 2:
+				ZeroWords(acc)
+			case 3:
+				FillWords(src, n)
+			}
+			union := setFromWords(n, dst)
+			union.Union(setFromWords(n, src))
+			inter := setFromWords(n, acc)
+			inter.Intersect(union)
+
+			live := OrAndWords(dst, src, acc)
+			if !union.Equal(Wrap(n, dst)) {
+				t.Fatalf("n=%d trial %d: OrAndWords dst disagrees with Set.Union", n, trial)
+			}
+			if !inter.Equal(Wrap(n, acc)) {
+				t.Fatalf("n=%d trial %d: OrAndWords acc disagrees with Set.Intersect", n, trial)
+			}
+			if live != !inter.Empty() {
+				t.Fatalf("n=%d trial %d: OrAndWords = %v, intersection empty = %v", n, trial, live, inter.Empty())
+			}
+		}
+	}
+}
+
+// columnCountsModel is the per-bit model of ColumnCounts: one bit test
+// per matrix entry.
+func columnCountsModel(n int, rows [][]uint64) []int {
+	counts := make([]int, n)
+	for _, row := range rows {
+		s := setFromWords(n, row)
+		for j := 0; j < n; j++ {
+			if s.Test(j) {
+				counts[j]++
+			}
+		}
+	}
+	return counts
+}
+
+// TestColumnCountsMatchesPerBitModel pins the tile-transpose column
+// popcount kernel against the per-bit model at sizes straddling the
+// 64-bit word and 64-row band edges, with square and non-square row
+// counts, random, full (tail-masked) and empty rows, and stale counts
+// in the destination that the kernel must overwrite.
+func TestColumnCountsMatchesPerBitModel(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 63, 64, 65, 130, 256, 1000} {
+		for _, nrows := range []int{n, n/2 + 1, n + 7} {
+			rows := make([][]uint64, nrows)
+			for i := range rows {
+				rows[i] = randWords(r, n)
+				switch i % 5 {
+				case 1:
+					FillWords(rows[i], n)
+				case 2:
+					ZeroWords(rows[i])
+				}
+			}
+			got := make([]int, n)
+			for j := range got {
+				got[j] = -1 - j
+			}
+			ColumnCounts(got, rows)
+			want := columnCountsModel(n, rows)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("n=%d rows=%d: column %d count = %d, per-bit model %d",
+						n, nrows, j, got[j], want[j])
+				}
+			}
+		}
+	}
+	// No rows: every column count is zero.
+	got := []int{4, 5, 6}
+	ColumnCounts(got, nil)
+	for j, c := range got {
+		if c != 0 {
+			t.Fatalf("no rows: column %d count = %d", j, c)
+		}
+	}
+}
+
 func TestWordsForAndTailMask(t *testing.T) {
 	cases := []struct {
 		n     int

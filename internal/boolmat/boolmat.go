@@ -33,11 +33,9 @@ type Matrix struct {
 	n     int
 	block *bitset.Block
 	rows  []*bitset.Set // rows[x] aliases block row x (reach set R_x)
-	// ord and cols are ApplyTree scratch (the child-before-parent edge
-	// order and the transposed word-columns of one 64-row band). Reused
-	// across calls; makes ApplyTree non-reentrant, which is fine: a Matrix
-	// is never shared across goroutines.
-	ord  tree.DepthOrder
+	// cols is ApplyTree scratch (the transposed word-columns of one 64-row
+	// band). Reused across calls; makes ApplyTree non-reentrant, which is
+	// fine: a Matrix is never shared across goroutines.
 	cols []uint64
 }
 
@@ -175,7 +173,7 @@ func (m *Matrix) Product(o *Matrix) *Matrix {
 // per-column words (bitset.Transpose64), every tree edge then becomes a
 // single word OR cols[y] |= cols[parent(y)] advancing all 64 band rows at
 // once, and the band is transposed back. Applying edges child-before-parent
-// (tree.DepthOrder) guarantees each parent column read is the pre-round
+// (Tree.ChildFirst) guarantees each parent column read is the pre-round
 // value, so a bit set during the round cannot cascade to grandchildren —
 // the same one-hop-per-round invariant the scalar update kept by buffering
 // additions. O(n²/64 + n²/32) word operations instead of O(n²) bit tests.
@@ -187,7 +185,7 @@ func (m *Matrix) ApplyTree(t *tree.Tree) {
 		return
 	}
 	parents := t.Parents()
-	order := m.ord.Fill(parents)
+	order := t.ChildFirst()[:m.n-1] // the root, last, has no edge to apply
 	stride := m.block.Stride()
 	words := m.block.Words()
 	if len(m.cols) < stride*64 {
@@ -215,9 +213,7 @@ func (m *Matrix) ApplyTree(t *tree.Tree) {
 		}
 		// Apply every edge as one word OR, children before parents.
 		for _, y := range order {
-			if p := parents[y]; p != y {
-				cols[y] |= cols[p]
-			}
+			cols[y] |= cols[parents[y]]
 		}
 		// Scatter: transpose back into the rows.
 		for wi := 0; wi < stride; wi++ {

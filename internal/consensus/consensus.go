@@ -41,7 +41,8 @@ import (
 type Result struct {
 	// Decision is the common decided value (valid only if Terminated).
 	Decision int
-	// Rounds is the round at which the LAST process decided.
+	// Rounds is the round at which the LAST process decided when
+	// Terminated, and the number of rounds executed otherwise.
 	Rounds int
 	// FirstDecision is the round at which the first process decided.
 	FirstDecision int
@@ -84,8 +85,8 @@ func FloodMin(proposals []int, adv core.Adversary, opts ...core.Option) (Result,
 		}
 	}))
 
-	if _, err := core.Run(n, adv, core.Gossip, opts...); err != nil {
-		res.Terminated = false
+	if run, err := core.Run(n, adv, core.Gossip, opts...); err != nil {
+		res.Rounds = run.Rounds
 		return res, fmt.Errorf("consensus: FloodMin did not terminate: %w", err)
 	}
 	if n == 1 {

@@ -64,11 +64,9 @@ type Engine struct {
 	block *bitset.Block // n×n packed rows: row y = K_y
 	heard []*bitset.Set // heard[y] aliases block row y
 	inter *bitset.Set   // ⋂_y K_y, maintained per round
-	ord   tree.DepthOrder
 	// fullPrefix is the count of leading rows known full. Rows only gain
 	// bits, so fullness is monotone and the cursor never moves back; it
-	// amortizes the GossipDone scan and short-circuits the intersection
-	// recomputation once the state saturates.
+	// amortizes the GossipDone scan.
 	fullPrefix int
 }
 
@@ -168,44 +166,37 @@ func (e *Engine) advanceFullPrefix() {
 // Step applies one synchronous round along t. Every non-root process y
 // merges its parent's pre-round heard set: K_y ← K_y ∪ K_parent(y).
 // The self-loop (keeping K_y) is implicit in the union.
+//
+// Rows are merged in t's child-first order (Tree.ChildFirst), so each
+// K_parent read is the pre-round value: a node is always processed before
+// its parent, and no row is read after being written this round. This
+// keeps the update single-hop per round without double buffering. It also
+// means a row is final as soon as it is merged, so ⋂_y K_y is folded into
+// the same sweep: the accumulator starts from the root's row, which the
+// round leaves unchanged, takes each merged row while it is still in
+// cache, and once it is empty the sweep falls back to plain ORs.
 func (e *Engine) Step(t *tree.Tree) {
 	if t.N() != e.n {
 		panic(fmt.Sprintf("core: tree on %d vertices for engine of %d processes", t.N(), e.n))
 	}
 	parents := t.Parents()
-	// Applying in child-before-parent order guarantees each K_parent read
-	// is the pre-round value: a node is always processed before its parent,
-	// so no row is read after being written this round. This keeps the
-	// update single-hop per round (no intra-round cascade) without double
-	// buffering.
-	order := e.ord.Fill(parents)
+	order := t.ChildFirst()
+	root := order[e.n-1]
 	stride := e.block.Stride()
 	words := e.block.Words()
-	for _, y := range order {
+	inter := e.inter.Words()
+	copy(inter, words[root*stride:(root+1)*stride])
+	live := true
+	for _, y := range order[:e.n-1] {
 		p := parents[y]
-		if p == y {
-			continue
+		row, par := words[y*stride:(y+1)*stride], words[p*stride:(p+1)*stride]
+		if live {
+			live = bitset.OrAndWords(row, par, inter)
+		} else {
+			bitset.OrWords(row, par)
 		}
-		bitset.OrWords(words[y*stride:(y+1)*stride], words[p*stride:(p+1)*stride])
 	}
 	e.round++
-	e.recomputeIntersection()
-}
-
-func (e *Engine) recomputeIntersection() {
-	// Saturation fast path: once every row is full (gossip complete) the
-	// intersection is all of [n] and can only stay that way.
-	e.advanceFullPrefix()
-	e.inter.Fill()
-	if e.fullPrefix == e.n {
-		return
-	}
-	for _, k := range e.heard {
-		e.inter.Intersect(k)
-		if e.inter.Empty() {
-			return
-		}
-	}
 }
 
 // Matrix materializes the current adjacency matrix of G(round): entry

@@ -25,7 +25,8 @@ import (
 // scalarRef is the reference engine: heard[y][x] reports x ∈ K_y, updated
 // by copying the whole state and applying K_y ← K_y ∪ K_parent(y) per bit
 // against the copy. Nothing here shares code with Engine, MatrixEngine,
-// bitset, or tree.DepthOrder, so agreement is evidence, not tautology.
+// bitset, or the trees' carried child-first order (Tree.ChildFirst), so
+// agreement is evidence, not tautology.
 type scalarRef struct {
 	n     int
 	heard [][]bool
@@ -70,6 +71,23 @@ func (s *scalarRef) BroadcastDone() bool {
 		}
 	}
 	return false
+}
+
+// broadcasters packs the set of values x that every process has heard
+// into dst.
+func (s *scalarRef) broadcasters(dst []uint64) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	for x := 0; x < s.n; x++ {
+		all := true
+		for y := 0; y < s.n && all; y++ {
+			all = s.heard[y][x]
+		}
+		if all {
+			dst[x>>6] |= 1 << (uint(x) & 63)
+		}
+	}
 }
 
 // GossipDone reports whether every process has heard every value.
@@ -214,6 +232,69 @@ func TestPackedRunnerMatchesReferenceRounds(t *testing.T) {
 				t.Errorf("n=%d seed=%d: Runner t* = %d, reference %d", n, seed, got, rounds)
 			}
 			replay = nil
+		}
+	}
+}
+
+// TestFusedStepMatchesScalarReference pins the intersection Engine.Step
+// folds into its OR sweep: Broadcasters() equals the reference's set of
+// fully-heard values after every round, from round 0 through gossip
+// saturation and a few rounds past it, on allocated trees and on trees
+// generated in place into one shared Buf (whose carried order is rewritten
+// every round), at sizes off and on the 64-bit word edges.
+func TestFusedStepMatchesScalarReference(t *testing.T) {
+	var buf tree.Buf
+	gens := []scheduleGen{
+		{"random-tree", func(_ View, src *rng.Source, n int) *tree.Tree { return tree.Random(n, src) }},
+		{"random-path", func(_ View, src *rng.Source, n int) *tree.Tree { return tree.RandomPath(n, src) }},
+		{"buf-mixed", func(v View, src *rng.Source, n int) *tree.Tree {
+			switch v.Round() % 3 {
+			case 0:
+				return tree.RandomInto(&buf, n, src)
+			case 1:
+				return tree.RandomPathInto(&buf, n, src)
+			}
+			if n == 1 {
+				return tree.RandomInto(&buf, n, src)
+			}
+			tr, err := tree.RandomWithLeavesInto(&buf, n, 1+src.Intn(n-1), src)
+			if err != nil {
+				panic(err)
+			}
+			return tr
+		}},
+	}
+	for _, gen := range gens {
+		for _, n := range []int{1, 2, 5, 63, 64, 65, 130} {
+			t.Run(fmt.Sprintf("%s/n%d", gen.name, n), func(t *testing.T) {
+				src := rng.New(uint64(n)*7919 + 3)
+				eng := NewEngine(n)
+				ref := newScalarRef(n)
+				want := make([]uint64, bitset.WordsFor(n))
+				extra := 3 // rounds to keep stepping past saturation
+				budget := n*n + 1 + extra
+				for round := 0; round <= budget; round++ {
+					if round > 0 {
+						tr := gen.next(eng, src, n)
+						eng.Step(tr)
+						ref.Step(tr)
+					}
+					ref.broadcasters(want)
+					if got := eng.Broadcasters(); !bitset.EqualWords(got.Words(), want) {
+						t.Fatalf("round %d: Broadcasters() = %v, reference %v", round, got, bitset.Wrap(n, want))
+					}
+					if eng.GossipDone() != ref.GossipDone() {
+						t.Fatalf("round %d: GossipDone = %v, reference %v", round, eng.GossipDone(), ref.GossipDone())
+					}
+					if ref.GossipDone() {
+						if extra == 0 {
+							return
+						}
+						extra--
+					}
+				}
+				t.Fatalf("gossip incomplete after %d rounds", budget)
+			})
 		}
 	}
 }

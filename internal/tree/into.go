@@ -14,10 +14,11 @@ import (
 // consume random streams identically and campaigns stay byte-for-byte
 // reproducible whichever path runs them.
 
-// Buf is a reusable tree buffer: the parent array of the generated tree
-// plus the scratch the generators need (Prüfer decoding, permutation and
-// adjacency workspaces). Buffers grow to the largest n seen and are reused
-// across calls, so a warm Buf generates trees with zero allocations.
+// Buf is a reusable tree buffer: the parent array and child-first order
+// of the generated tree plus the scratch the generators need (Prüfer
+// decoding, permutation and adjacency workspaces). Buffers grow to the
+// largest n seen and are reused across calls, so a warm Buf generates
+// trees with zero allocations.
 //
 // The *Tree returned by a ...Into call aliases the Buf: it is valid only
 // until the Buf's next generation, and callers must neither mutate nor
@@ -28,8 +29,8 @@ import (
 type Buf struct {
 	t Tree
 	// generator scratch
-	seq, deg, eu, ev, off, cur, tgt, queue, order, sl []int
-	mark                                              []bool
+	seq, deg, eu, ev, off, cur, tgt, perm, sl []int
+	mark                                      []bool
 }
 
 // Tree returns the most recently generated tree (nil parent array before
@@ -52,9 +53,14 @@ func Grow[T any](p *[]T, n int) []T {
 // parentBuf returns b's parent array resized to n.
 func (b *Buf) parentBuf(n int) []int { return Grow(&b.t.parent, n) }
 
+// orderBuf returns b's child-first order resized to n. Every generator
+// rewrites all n entries, so a previous tree's order is never served.
+func (b *Buf) orderBuf(n int) []int { return Grow(&b.t.order, n) }
+
 // single resets b to the one-vertex tree.
 func (b *Buf) single() *Tree {
 	b.parentBuf(1)[0] = 0
+	b.orderBuf(1)[0] = 0
 	b.t.root = 0
 	return &b.t
 }
@@ -150,23 +156,25 @@ func (b *Buf) decodePrufer(seq []int, n, root int) {
 		cur[v]++
 	}
 
-	// Orient away from root by BFS.
+	// Orient away from root by BFS. The queue is the tree's order filled
+	// back to front (queue slot i is order[n-1-i]), so the reversed BFS —
+	// a child-first order — falls out of the traversal for free.
 	parent := b.parentBuf(n)
 	for i := range parent {
 		parent[i] = -1
 	}
 	parent[root] = root
-	queue := Grow(&b.queue, n)
-	queue[0] = root
-	qh, qt := 0, 1
-	for qh < qt {
-		u := queue[qh]
-		qh++
+	order := b.orderBuf(n)
+	order[n-1] = root
+	qh, qt := n-1, n-2
+	for qh > qt {
+		u := order[qh]
+		qh--
 		for j := off[u]; j < off[u+1]; j++ {
 			if v := tgt[j]; parent[v] == -1 {
 				parent[v] = u
-				queue[qt] = v
-				qt++
+				order[qt] = v
+				qt--
 			}
 		}
 	}
@@ -181,6 +189,7 @@ func PathInto(b *Buf, order []int) *Tree {
 	n := len(order)
 	if n == 0 {
 		b.t.parent = b.t.parent[:0]
+		b.t.order = b.t.order[:0]
 		b.t.root = 0
 		return &b.t
 	}
@@ -194,11 +203,7 @@ func PathInto(b *Buf, order []int) *Tree {
 		}
 		mark[v] = true
 	}
-	parent := b.parentBuf(n)
-	parent[order[0]] = order[0]
-	for i := 1; i < n; i++ {
-		parent[order[i]] = order[i-1]
-	}
+	fillPath(b.parentBuf(n), b.orderBuf(n), order)
 	b.t.root = order[0]
 	return &b.t
 }
@@ -207,12 +212,12 @@ func PathInto(b *Buf, order []int) *Tree {
 // permutation into b — same distribution and stream consumption as
 // RandomPath, which wraps it.
 func RandomPathInto(b *Buf, n int, src *rng.Source) *Tree {
-	order := Grow(&b.order, n)
-	for i := range order {
-		order[i] = i
+	perm := Grow(&b.perm, n)
+	for i := range perm {
+		perm[i] = i
 	}
-	src.Shuffle(order)
-	return PathInto(b, order)
+	src.Shuffle(perm)
+	return PathInto(b, perm)
 }
 
 // RandomWithLeavesInto generates a random rooted tree on n vertices with
@@ -232,7 +237,7 @@ func RandomWithLeavesInto(b *Buf, n, k int, src *rng.Source) (*Tree, error) {
 		return nil, fmt.Errorf("%w: n=%d needs 1 <= k <= %d leaves, got %d", ErrInvalidTree, n, n-1, k)
 	}
 	m := n - k // inner vertex count, >= 1
-	perm := Grow(&b.order, n)
+	perm := Grow(&b.perm, n)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -244,47 +249,46 @@ func RandomWithLeavesInto(b *Buf, n, k int, src *rng.Source) (*Tree, error) {
 	// random attachment tree ("random recursive tree") tends to have about
 	// m/2 leaves; retry a few times, then fall back to a path skeleton
 	// (exactly one skeleton-leaf), which always works since k >= 1.
+	//
+	// The skeleton-leaf count is kept while drawing: attaching inner[i]
+	// below inner[j] adds one leaf unless inner[j] was itself a leaf, so
+	// the count never falls, and an attempt is lost as soon as it exceeds
+	// k. The rest of a lost attempt's draws are still taken, so the
+	// random stream does not depend on when the attempt was given up.
 	parent := b.parentBuf(n)
-	hasChild := Grow(&b.mark, n)
-	skeletonLeaves := func(build func()) []int {
-		build()
-		for i := range hasChild {
+	hasChild := Grow(&b.mark, m) // by position in inner
+	sl, found := b.sl[:0], false
+	for attempt := 0; attempt < 8 && !found; attempt++ {
+		parent[inner[0]] = inner[0]
+		hasChild[0] = false
+		count, i := 1, 1
+		for ; i < m && count <= k; i++ {
+			j := src.Intn(i)
+			parent[inner[i]] = inner[j]
 			hasChild[i] = false
-		}
-		for _, v := range inner {
-			if p := parent[v]; p != v {
-				hasChild[p] = true
+			if hasChild[j] {
+				count++
 			}
+			hasChild[j] = true
 		}
-		sl := b.sl[:0]
-		for _, v := range inner {
-			if !hasChild[v] {
+		for ; i < m; i++ {
+			src.Intn(i)
+		}
+		found = count <= k
+	}
+	if found {
+		for i, v := range inner {
+			if !hasChild[i] {
 				sl = append(sl, v)
 			}
 		}
 		b.sl = sl
-		return sl
-	}
-
-	var sl []int
-	for attempt := 0; attempt < 8; attempt++ {
-		sl = skeletonLeaves(func() {
-			parent[inner[0]] = inner[0]
-			for i := 1; i < m; i++ {
-				parent[inner[i]] = inner[src.Intn(i)]
-			}
-		})
-		if len(sl) <= k {
-			break
+	} else {
+		parent[inner[0]] = inner[0]
+		for i := 1; i < m; i++ {
+			parent[inner[i]] = inner[i-1]
 		}
-	}
-	if len(sl) > k {
-		sl = skeletonLeaves(func() {
-			parent[inner[0]] = inner[0]
-			for i := 1; i < m; i++ {
-				parent[inner[i]] = inner[i-1]
-			}
-		})
+		sl = inner[m-1:]
 	}
 
 	// Give each skeleton-leaf one real leaf, then scatter the rest.
@@ -294,6 +298,13 @@ func RandomWithLeavesInto(b *Buf, n, k int, src *rng.Source) (*Tree, error) {
 		} else {
 			parent[v] = inner[src.Intn(m)]
 		}
+	}
+	// Every skeleton parent precedes its child in inner, and the real
+	// leaves have no children: the leaves, then inner reversed.
+	order := b.orderBuf(n)
+	copy(order, leaves)
+	for i, v := range inner {
+		order[n-1-i] = v
 	}
 	b.t.root = inner[0]
 	return &b.t, nil

@@ -32,8 +32,14 @@ var ErrInvalidTree = errors.New("invalid rooted tree")
 // Construct with New (validating), one of the family constructors, or the
 // random/enumeration helpers. The zero value is the empty tree on zero
 // vertices.
+//
+// Every constructor also records a child-before-parent order of the
+// vertices (ChildFirst), so the round engines never recompute it: the
+// generators take it from what they already know, and New and the family
+// constructors compute it once.
 type Tree struct {
 	parent []int
+	order  []int // child-before-parent permutation of [0,n); root last
 	root   int
 }
 
@@ -85,7 +91,51 @@ func New(parent []int) (*Tree, error) {
 	}
 	p := make([]int, n)
 	copy(p, parent)
-	return &Tree{parent: p, root: root}, nil
+	return withOrder(p, root), nil
+}
+
+// withOrder wraps a valid parent array as a Tree, computing its
+// child-first order from scratch: a breadth-first traversal from the root
+// over child buckets, written back to front, so depths are non-increasing
+// along the result. Four sequential passes, no per-vertex up-walks. The
+// generators take the order from what they already know instead; New and
+// the family constructors pay for it here.
+func withOrder(parent []int, root int) *Tree {
+	n := len(parent)
+	scratch, order := make([]int, 3*n), make([]int, n)
+	cnt, start, kids := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	// Pass 1: child counts.
+	for v, p := range parent {
+		if p != v {
+			cnt[p]++
+		}
+	}
+	// Pass 2: bucket offsets.
+	idx := 0
+	for v := 0; v < n; v++ {
+		start[v] = idx
+		idx += cnt[v]
+	}
+	// Pass 3: fill child buckets, advancing start as the write cursor so
+	// afterwards start[v] is the END of v's bucket (begin = start[v]-cnt[v]).
+	for v, p := range parent {
+		if p != v {
+			kids[start[p]] = v
+			start[p]++
+		}
+	}
+	// Pass 4: BFS from the root written back to front, so reading order
+	// forward yields leaves before the root.
+	order[n-1] = root
+	w := n - 2
+	for i := n - 1; i > w; i-- {
+		v := order[i]
+		for k := start[v] - cnt[v]; k < start[v]; k++ {
+			order[w] = kids[k]
+			w--
+		}
+	}
+	return &Tree{parent: parent, order: order, root: root}
 }
 
 // MustNew is New but panics on error. For tests and literals.
@@ -114,6 +164,13 @@ func (t *Tree) Parent(v int) int { return t.parent[v] }
 // Parents returns the underlying parent array. The caller must not mutate
 // the returned slice; Tree is shared freely across engines.
 func (t *Tree) Parents() []int { return t.parent }
+
+// ChildFirst returns a permutation of the vertices in which every vertex
+// appears before its parent; the root, an ancestor of all, is therefore
+// last. This is the order in which the round engines apply a round in
+// place: each vertex is updated before its parent, so every parent value
+// read is the pre-round one. The caller must not mutate the returned slice.
+func (t *Tree) ChildFirst() []int { return t.order }
 
 // Children returns, for each vertex, the slice of its children, computed in
 // O(n). The root is not a child of itself.
@@ -176,31 +233,12 @@ func (t *Tree) Depth(v int) int {
 
 // Height returns the maximum depth over all vertices; 0 for n <= 1.
 func (t *Tree) Height() int {
-	n := len(t.parent)
-	if n == 0 {
-		return 0
-	}
-	depth := make([]int, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[t.root] = 0
+	depth := make([]int, len(t.parent))
 	h := 0
-	for v := 0; v < n; v++ {
-		// Walk up until a node of known depth, then unwind.
-		var stack []int
-		u := v
-		for depth[u] < 0 {
-			stack = append(stack, u)
-			u = t.parent[u]
-		}
-		d := depth[u]
-		for i := len(stack) - 1; i >= 0; i-- {
-			d++
-			depth[stack[i]] = d
-		}
-		if depth[v] > h {
-			h = depth[v]
+	for i := len(t.order) - 1; i >= 0; i-- { // every parent before its children
+		if v, p := t.order[i], t.parent[t.order[i]]; p != v {
+			depth[v] = depth[p] + 1
+			h = max(h, depth[v])
 		}
 	}
 	return h
@@ -251,19 +289,10 @@ func (t *Tree) PathOrder() ([]int, error) {
 	if !t.IsPath() {
 		return nil, fmt.Errorf("%w: not a path", ErrInvalidTree)
 	}
-	n := len(t.parent)
-	order := make([]int, 0, n)
-	next := make([]int, n) // next[v] = unique child of v, or -1
-	for i := range next {
-		next[i] = -1
-	}
-	for v, p := range t.parent {
-		if v != p {
-			next[p] = v
-		}
-	}
-	for v := t.root; v != -1; v = next[v] {
-		order = append(order, v)
+	// A path has exactly one child-first order: leaf to root.
+	order := make([]int, len(t.order))
+	for i, v := range t.order {
+		order[len(order)-1-i] = v
 	}
 	return order, nil
 }
@@ -309,15 +338,25 @@ func Path(order []int) (*Tree, error) {
 	if err := checkPerm(order); err != nil {
 		return nil, err
 	}
-	parent := make([]int, n)
 	if n == 0 {
 		return &Tree{}, nil
 	}
+	s := make([]int, 2*n)
+	fillPath(s[:n:n], s[n:], order)
+	return &Tree{parent: s[:n:n], order: s[n:], root: order[0]}, nil
+}
+
+// fillPath writes the path order[0] → order[1] → … into parent, and its
+// child-first order, which is order reversed, into rev. order must be a
+// non-empty permutation of [0,n); parent and rev have length n.
+func fillPath(parent, rev, order []int) {
+	n := len(order)
 	parent[order[0]] = order[0]
+	rev[n-1] = order[0]
 	for i := 1; i < n; i++ {
 		parent[order[i]] = order[i-1]
+		rev[n-1-i] = order[i]
 	}
-	return &Tree{parent: parent, root: order[0]}, nil
 }
 
 // MustPath is Path but panics on error.
@@ -351,7 +390,7 @@ func Star(n, root int) (*Tree, error) {
 	for i := range parent {
 		parent[i] = root
 	}
-	return &Tree{parent: parent, root: root}, nil
+	return withOrder(parent, root), nil
 }
 
 // Broom returns a broom: a path through handle (root first) whose last
@@ -377,7 +416,7 @@ func Broom(handle, bristles []int) (*Tree, error) {
 	for _, b := range bristles {
 		parent[b] = last
 	}
-	return &Tree{parent: parent, root: handle[0]}, nil
+	return withOrder(parent, handle[0]), nil
 }
 
 // Caterpillar returns a caterpillar: a path through spine (root first) with
@@ -409,7 +448,7 @@ func Caterpillar(spine []int, legs [][]int) (*Tree, error) {
 			parent[v] = spine[i]
 		}
 	}
-	return &Tree{parent: parent, root: spine[0]}, nil
+	return withOrder(parent, spine[0]), nil
 }
 
 // Spider returns a spider: legs (vertex-disjoint paths) hanging from the
@@ -431,7 +470,7 @@ func Spider(root int, legs [][]int) (*Tree, error) {
 			prev = v
 		}
 	}
-	return &Tree{parent: parent, root: root}, nil
+	return withOrder(parent, root), nil
 }
 
 // CompleteKAry returns the complete k-ary tree on n vertices in level
@@ -447,7 +486,7 @@ func CompleteKAry(n, k int) (*Tree, error) {
 	for i := 1; i < n; i++ {
 		parent[i] = (i - 1) / k
 	}
-	return &Tree{parent: parent, root: 0}, nil
+	return withOrder(parent, 0), nil
 }
 
 func checkPerm(vs []int) error {
@@ -481,7 +520,7 @@ func FromPrufer(seq []int, n, root int) (*Tree, error) {
 		return nil, fmt.Errorf("%w: root %d out of range [0,%d)", ErrInvalidTree, root, n)
 	}
 	if n == 1 {
-		return &Tree{parent: []int{0}, root: 0}, nil
+		return &Tree{parent: []int{0}, order: []int{0}, root: 0}, nil
 	}
 	for _, s := range seq {
 		if s < 0 || s >= n {
@@ -549,13 +588,16 @@ func (t *Tree) Prufer() []int {
 	return seq
 }
 
-// detached returns a copy of t backed by exactly-sized private storage.
-// The allocating generator wrappers return detached trees so a retained
-// Tree never pins its generating Buf's O(n) scratch slices.
+// detached returns a copy of t, its child-first order included, backed
+// by exactly-sized private storage. The allocating generator wrappers
+// return detached trees so a retained Tree never pins its generating
+// Buf's O(n) scratch slices.
 func (t *Tree) detached() *Tree {
-	p := make([]int, len(t.parent))
-	copy(p, t.parent)
-	return &Tree{parent: p, root: t.root}
+	n := len(t.parent)
+	s := make([]int, 2*n)
+	copy(s, t.parent)
+	copy(s[n:], t.order)
+	return &Tree{parent: s[:n:n], order: s[n:], root: t.root}
 }
 
 // Random returns a uniformly random rooted labeled tree on n vertices:
@@ -584,14 +626,14 @@ func Enumerate(n int, fn func(*Tree) bool) {
 		fn(MustNew([]int{0}))
 		return
 	}
+	// One decoder Buf serves every tree; each is detached before fn sees
+	// it. The sequences are in range by construction.
+	var b Buf
 	seq := make([]int, n-2)
 	for {
 		for root := 0; root < n; root++ {
-			t, err := FromPrufer(seq, n, root)
-			if err != nil {
-				panic(err) // unreachable: in-range by construction
-			}
-			if !fn(t) {
+			b.decodePrufer(seq, n, root)
+			if !fn(b.t.detached()) {
 				return
 			}
 		}
