@@ -110,7 +110,7 @@ func BenchmarkEdgeGrowth(b *testing.B) {
 			minGrowth := n * n
 			for i := 0; i < b.N; i++ {
 				var rec trace.Recorder
-				_, err := core.Run(n, adversary.AscendingPath{}, core.Broadcast,
+				_, err := core.Run(n, &adversary.AscendingPath{}, core.Broadcast,
 					core.WithObserver(rec.Observer()))
 				if err != nil {
 					b.Fatal(err)
@@ -138,7 +138,7 @@ func BenchmarkRestricted(b *testing.B) {
 				src := rng.New(uint64(n)*100 + uint64(k))
 				total, runs := 0, 0
 				for i := 0; i < b.N; i++ {
-					rounds, err := core.BroadcastTime(n, adversary.KLeaves{K: k, Src: src})
+					rounds, err := core.BroadcastTime(n, adversary.NewKLeaves(k, src))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -205,7 +205,7 @@ func BenchmarkMatrixEvolution(b *testing.B) {
 			var final core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				final, err = core.Run(n, adversary.AscendingPath{}, core.Broadcast)
+				final, err = core.Run(n, &adversary.AscendingPath{}, core.Broadcast)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -225,7 +225,7 @@ func BenchmarkGossip(b *testing.B) {
 			src := rng.New(uint64(n))
 			var sumB, sumG int
 			for i := 0; i < b.N; i++ {
-				bt, gt, err := gossip.BothTimes(n, adversary.Random{Src: src.Split()})
+				bt, gt, err := gossip.BothTimes(n, adversary.NewRandom(src.Split()))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,11 +325,10 @@ func BenchmarkNonsplitGame(b *testing.B) {
 
 // BenchmarkTrialHotPath is the headline benchmark of the batched trial
 // pipeline: one complete random-adversary broadcast trial per op, on the
-// seed per-trial path (fresh engine + fresh allocating adversary each
-// trial, the pre-batching pipeline) versus the batched path (one pooled
-// core.Runner plus one reusable adversary, Reset per trial). Both paths
-// compute identical round counts from identical streams; only the
-// allocation profile differs. With -benchmem (or ReportAllocs, always
+// per-trial path (fresh engine + freshly constructed adversary each
+// trial) versus the batched path (one pooled core.Runner plus one
+// adversary, Reset per trial). Both paths compute identical round counts
+// from identical streams; only the allocation profile differs. With -benchmem (or ReportAllocs, always
 // on here) the batched variant must show amortized O(1) allocations per
 // trial — and therefore per round — versus the per-trial path's
 // O(n + rounds·n) (the acceptance bar is a 5× allocs/op reduction; the
@@ -340,7 +339,7 @@ func BenchmarkTrialHotPath(b *testing.B) {
 			src := rng.New(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BroadcastTime(n, adversary.Random{Src: src}); err != nil {
+				if _, err := core.BroadcastTime(n, adversary.NewRandom(src)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,7 +347,7 @@ func BenchmarkTrialHotPath(b *testing.B) {
 		b.Run(fmt.Sprintf("batched/n%d", n), func(b *testing.B) {
 			src := rng.New(1)
 			r := core.NewRunner()
-			adv := adversary.NewReusableRandom()
+			adv := adversary.NewRandom(nil)
 			// Warm the arena so the steady state is measured; the one-time
 			// buffer growth is amortized over the cell's trials in real runs.
 			adv.Reset(src)
@@ -448,7 +447,7 @@ func BenchmarkConsensus(b *testing.B) {
 			}
 			var last int
 			for i := 0; i < b.N; i++ {
-				res, err := consensus.FloodMin(proposals, adversary.Random{Src: src.Split()})
+				res, err := consensus.FloodMin(proposals, adversary.NewRandom(src.Split()))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -121,26 +121,23 @@ func run(args []string) error {
 // prints the aggregate. Each trial's source is pre-split from the seed in
 // trial order, so the summary is the same for every worker count.
 func runTrials(advName string, n int, seed uint64, trials, workers int, goal core.Goal, maxR int) error {
-	var opts []core.Option
-	if maxR > 0 {
-		opts = append(opts, core.WithMaxRounds(maxR))
-	}
 	root := rng.New(seed)
 	jobs := make([]campaign.Job, trials)
 	for i := range jobs {
 		jobs[i] = campaign.Job{
 			Index: i,
 			Src:   root.Split(),
-			Run: func(_ context.Context, src *rng.Source) ([]campaign.Measurement, error) {
+			Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
 				adv, err := buildAdversaryFrom(advName, n, src, seed)
 				if err != nil {
 					return nil, err
 				}
-				res, err := core.Run(n, adv, goal, opts...)
+				a.Runner.MaxRounds = maxR
+				rounds, err := a.Runner.Run(n, adv, goal)
 				if err != nil {
 					return nil, err
 				}
-				return []campaign.Measurement{{Cell: "rounds", Value: float64(res.Rounds)}}, nil
+				return []campaign.Measurement{{Cell: "rounds", Value: float64(rounds)}}, nil
 			},
 		}
 	}

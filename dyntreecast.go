@@ -75,9 +75,11 @@ type (
 	// Runner per goroutine; see BenchmarkTrialHotPath for the effect.
 	Runner = core.Runner
 	// ReusableAdversary is an adversary whose per-n scratch persists
-	// across trials: Reset rebinds it to a fresh trial's random source.
-	// An AdversaryFamily may construct one via its NewReusable hook to
-	// opt into cross-trial reuse in the batched campaign pipeline.
+	// across trials: Reset rebinds it to a fresh trial's random source,
+	// after which it plays exactly what a fresh instance would. Every
+	// AdversaryFamily constructs one (its NewReusable hook), and the
+	// stock adversary constructors below return one. Its trees are valid
+	// until its next Next call.
 	ReusableAdversary = campaign.ReusableAdversary
 )
 
@@ -153,40 +155,44 @@ func WithObserver(fn func(round int, t *Tree, e *Engine)) Option {
 }
 
 // StaticAdversary plays the same tree every round.
-func StaticAdversary(t *Tree) Adversary { return adversary.Static{Tree: t} }
+func StaticAdversary(t *Tree) ReusableAdversary {
+	return adversary.Stateless{Adversary: adversary.Static{Tree: t}}
+}
 
 // ScheduleAdversary plays the given trees in order, then repeats the last
 // one forever.
-func ScheduleAdversary(trees []*Tree) Adversary { return adversary.Replay{Trees: trees} }
+func ScheduleAdversary(trees []*Tree) ReusableAdversary {
+	return adversary.Stateless{Adversary: adversary.Replay{Trees: trees}}
+}
 
 // RandomAdversary plays an independent uniformly random rooted tree each
-// round.
-func RandomAdversary(r *Rand) Adversary { return adversary.Random{Src: r} }
+// round, drawn from r (which may be nil until Reset binds a source).
+func RandomAdversary(r *Rand) ReusableAdversary { return adversary.NewRandom(r) }
 
 // RandomPathAdversary plays an independent uniformly random path each
 // round.
-func RandomPathAdversary(r *Rand) Adversary { return adversary.RandomPath{Src: r} }
+func RandomPathAdversary(r *Rand) ReusableAdversary { return adversary.NewRandomPath(r) }
 
 // KLeavesAdversary plays random trees with exactly k leaves — the
 // restricted class with O(k·n) broadcast time (Zeiner et al.).
-func KLeavesAdversary(k int, r *Rand) Adversary { return adversary.KLeaves{K: k, Src: r} }
+func KLeavesAdversary(k int, r *Rand) ReusableAdversary { return adversary.NewKLeaves(k, r) }
 
 // KInnerAdversary plays random trees with exactly k inner nodes — the
 // other restricted O(k·n) class.
-func KInnerAdversary(k int, r *Rand) Adversary { return adversary.KInner{K: k, Src: r} }
+func KInnerAdversary(k int, r *Rand) ReusableAdversary { return adversary.NewKInner(k, r) }
 
 // AscendingPathAdversary plays the path ordered by ascending heard-set
 // size: a strong deterministic stalling heuristic (≈ n−1 rounds).
-func AscendingPathAdversary() Adversary { return adversary.AscendingPath{} }
+func AscendingPathAdversary() ReusableAdversary { return &adversary.AscendingPath{} }
 
 // BlockLeaderAdversary freezes the most-spread value each round.
-func BlockLeaderAdversary() Adversary { return adversary.BlockLeader{} }
+func BlockLeaderAdversary() ReusableAdversary { return &adversary.BlockLeader{} }
 
 // MinGainAdversary plays a minimum-total-knowledge-gain arborescence each
 // round (Chu-Liu/Edmonds). Deliberately measurable as a *failed* heuristic:
 // ignoring concentration, it ties into a star and loses immediately — see
 // EXPERIMENTS.md E8.
-func MinGainAdversary() Adversary { return adversary.MinGain{} }
+func MinGainAdversary() ReusableAdversary { return adversary.Stateless{Adversary: adversary.MinGain{}} }
 
 // SearchSchedule runs an offline beam search for a long-surviving tree
 // schedule and returns it with the broadcast time it certifies.
@@ -347,10 +353,15 @@ const (
 //	err := dyntreecast.RegisterAdversary(dyntreecast.AdversaryFamily{
 //	    Name:   "my-adversary",
 //	    Params: []dyntreecast.AdversaryParam{{Name: "depth", Kind: dyntreecast.IntParam, Default: 2}},
-//	    New: func(n int, p dyntreecast.AdversaryParams, r *dyntreecast.Rand) (dyntreecast.Adversary, error) {
-//	        return myAdversary(n, p.Int("depth"), r), nil
+//	    NewReusable: func(n int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
+//	        return newMyAdversary(n, p.Int("depth")), nil
 //	    },
 //	})
+//
+// The campaign builds one adversary per worker and cell, and calls its
+// Reset with each trial's source before the trial runs; after Reset it
+// must play exactly what a freshly built one would. A source-free
+// adversary's Reset does nothing.
 //
 // Family names are unique; re-registering one is an error. Safe for
 // concurrent use.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -347,6 +348,10 @@ func TestResumeCampaignRequiresCheckpoint(t *testing.T) {
 // public facade, as downstream code would.
 type stridingStar struct{ stride int }
 
+func (stridingStar) Reset(*dyntreecast.Rand) {}
+
+var stridingStarOnce sync.Once
+
 func (s stridingStar) Next(v dyntreecast.View) *dyntreecast.Tree {
 	star, err := dyntreecast.StarTree(v.N(), (v.Round()*s.stride)%v.N())
 	if err != nil {
@@ -365,19 +370,23 @@ func TestRegisterAdversaryFullStack(t *testing.T) {
 	// A custom oblivious family: round-robin stars whose root advances by
 	// the "stride" parameter each round. Broadcast completes in 1 round
 	// (any star completes immediately), keeping the expected stats pinned.
-	err := dyntreecast.RegisterAdversary(dyntreecast.AdversaryFamily{
-		Name: "acceptance-striding-star",
-		Doc:  "star whose root advances by stride each round",
-		Params: []dyntreecast.AdversaryParam{
-			{Name: "stride", Kind: dyntreecast.IntParam, Default: 1, Doc: "root advance per round"},
-		},
-		New: func(_ int, p dyntreecast.AdversaryParams, _ *dyntreecast.Rand) (dyntreecast.Adversary, error) {
-			stride := p.Int("stride")
-			if stride < 1 {
-				return nil, fmt.Errorf("stride must be >= 1, got %d", stride)
-			}
-			return stridingStar{stride: stride}, nil
-		},
+	// Registered once per process, so -count > 1 reruns reuse it.
+	var err error
+	stridingStarOnce.Do(func() {
+		err = dyntreecast.RegisterAdversary(dyntreecast.AdversaryFamily{
+			Name: "acceptance-striding-star",
+			Doc:  "star whose root advances by stride each round",
+			Params: []dyntreecast.AdversaryParam{
+				{Name: "stride", Kind: dyntreecast.IntParam, Default: 1, Doc: "root advance per round"},
+			},
+			NewReusable: func(_ int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
+				stride := p.Int("stride")
+				if stride < 1 {
+					return nil, fmt.Errorf("stride must be >= 1, got %d", stride)
+				}
+				return stridingStar{stride: stride}, nil
+			},
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

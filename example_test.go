@@ -128,7 +128,7 @@ func ExampleRegisterAdversary() {
 		Feasible: func(n int, p dyntreecast.AdversaryParams) bool {
 			return p.Int("root") < n
 		},
-		New: func(n int, p dyntreecast.AdversaryParams, _ *dyntreecast.Rand) (dyntreecast.Adversary, error) {
+		NewReusable: func(n int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
 			star, err := dyntreecast.StarTree(n, p.Int("root"))
 			if err != nil {
 				return nil, err

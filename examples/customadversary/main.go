@@ -10,6 +10,11 @@
 // (the drifting path that visits every step-th process) and sweeps its
 // stride parameter as a scenario axis.
 //
+// A family's adversary is a ReusableAdversary: the campaign builds one
+// per worker and cell and calls Reset with each trial's random source
+// before the trial. The strided path draws no randomness, so its Reset
+// does nothing.
+//
 // Run with:
 //
 //	go run ./examples/customadversary
@@ -30,6 +35,10 @@ import (
 // when gcd(step, n) = 1, which the family's Feasible contract below
 // encodes so infeasible grid points are skipped instead of failing.
 type stridedPath struct{ step int }
+
+// Reset implements dyntreecast.ReusableAdversary: the schedule is a
+// function of the round alone, so there is no source to bind.
+func (stridedPath) Reset(*dyntreecast.Rand) {}
 
 // Next implements dyntreecast.Adversary.
 func (a stridedPath) Next(v dyntreecast.View) *dyntreecast.Tree {
@@ -68,7 +77,7 @@ func main() {
 		Feasible: func(n int, p dyntreecast.AdversaryParams) bool {
 			return gcd(p.Int("step"), n) == 1 // otherwise the stride is no permutation
 		},
-		New: func(_ int, p dyntreecast.AdversaryParams, _ *dyntreecast.Rand) (dyntreecast.Adversary, error) {
+		NewReusable: func(_ int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
 			return stridedPath{step: p.Int("step")}, nil
 		},
 	})

@@ -18,7 +18,11 @@
 //
 // All adversaries are deterministic given their inputs (random ones take an
 // explicit rng.Source), so every experiment in this repository reproduces
-// bit-for-bit from seeds.
+// bit-for-bit from seeds. The families the campaign layer runs also take
+// Reset(src), which rebinds one instance to a fresh trial's source: after
+// it the instance plays exactly what a freshly constructed one would,
+// while its per-n buffers stay. Their trees live in those buffers, valid
+// until the next Next call (see core.Adversary).
 //
 // Paper anchors: the portfolio feeds the best-measured curves of Figure 1
 // (experiment E1) and the Theorem 3.1 sandwich checks (E2); the static
@@ -28,8 +32,6 @@
 package adversary
 
 import (
-	"fmt"
-
 	"dyntreecast/internal/bitset"
 	"dyntreecast/internal/core"
 	"dyntreecast/internal/rng"
@@ -108,79 +110,124 @@ func leaderOf(reach []int) int {
 	return leader
 }
 
-// heardCounts returns |K_y| for every y.
-func heardCounts(v core.View) []int {
-	n := v.N()
-	out := make([]int, n)
-	for y := 0; y < n; y++ {
-		out[y] = v.Heard(y).Count()
-	}
-	return out
+// source is the trial source a random family draws from. Its Reset, the
+// second half of the campaign adversary contract, rebinds the adversary
+// to a fresh trial's source while its buffers stay.
+type source struct{ src *rng.Source }
+
+// Reset rebinds the adversary to a fresh trial's source.
+func (s *source) Reset(src *rng.Source) { s.src = src }
+
+// sourceFree supplies the no-op Reset of adversaries that draw no
+// randomness and carry nothing from one run into the next, so they need
+// no Reset to play exactly what a fresh instance would.
+type sourceFree struct{}
+
+// Reset implements the campaign adversary contract; there is no source
+// to rebind.
+func (sourceFree) Reset(*rng.Source) {}
+
+// Stateless wraps a source-free adversary that keeps no state between
+// rounds (Static, Replay, MinGain, …) with the no-op Reset of the campaign
+// adversary contract. It still buys the batched pipeline one construction
+// per cell instead of one per trial — for Static over a precomputed tree,
+// that is the whole tree.
+type Stateless struct {
+	core.Adversary
+	sourceFree
 }
 
-// validateN panics if the adversary was constructed for a different n than
-// the engine it is driving. Used by adaptive adversaries that precompute
-// n-sized scratch state. The panic marks a programmer error in direct
-// library use; every construction path reachable from user input (campaign
-// specs, campaignd requests) goes through error-returning constructors
-// such as NewTwoPhasePath, which validate before the engine ever steps.
-func validateN(want, got int) {
-	if want != got {
-		panic(fmt.Sprintf("adversary: built for n=%d, driven with n=%d", want, got))
-	}
+// Random plays an independent uniformly random rooted tree each round,
+// generated in place in one pooled tree buffer.
+type Random struct {
+	source
+	buf tree.Buf
 }
 
-// Random plays an independent uniformly random rooted tree each round.
-type Random struct{ Src *rng.Source }
+// NewRandom returns a Random drawing from src. src may be nil if Reset
+// binds a source before the first round.
+func NewRandom(src *rng.Source) *Random { return &Random{source: source{src}} }
 
 // Next implements core.Adversary.
-func (r Random) Next(v core.View) *tree.Tree { return tree.Random(v.N(), r.Src) }
-
-var _ core.Adversary = Random{}
+func (r *Random) Next(v core.View) *tree.Tree { return tree.RandomInto(&r.buf, v.N(), r.src) }
 
 // RandomPath plays an independent uniformly random directed path each
-// round.
-type RandomPath struct{ Src *rng.Source }
+// round, generated in place in one pooled tree buffer.
+type RandomPath struct {
+	source
+	buf tree.Buf
+}
+
+// NewRandomPath returns a RandomPath drawing from src (nil until Reset).
+func NewRandomPath(src *rng.Source) *RandomPath { return &RandomPath{source: source{src}} }
 
 // Next implements core.Adversary.
-func (r RandomPath) Next(v core.View) *tree.Tree { return tree.RandomPath(v.N(), r.Src) }
+func (r *RandomPath) Next(v core.View) *tree.Tree {
+	return tree.RandomPathInto(&r.buf, v.N(), r.src)
+}
 
-var _ core.Adversary = RandomPath{}
-
-// KLeaves plays random trees with exactly K leaves — the k-leaf restricted
+// KLeaves plays random trees with exactly k leaves — the k-leaf restricted
 // adversary class of Zeiner et al., for which broadcast time is O(k·n).
 type KLeaves struct {
-	K   int
-	Src *rng.Source
+	source
+	k   int
+	buf tree.Buf
 }
 
-// Next implements core.Adversary. It returns nil (failing the run) if K is
-// infeasible for the engine's n.
-func (a KLeaves) Next(v core.View) *tree.Tree {
-	t, err := tree.RandomWithLeaves(v.N(), a.K, a.Src)
+// NewKLeaves returns a KLeaves playing k-leaf trees drawn from src (nil
+// until Reset).
+func NewKLeaves(k int, src *rng.Source) *KLeaves { return &KLeaves{source: source{src}, k: k} }
+
+// Next implements core.Adversary. It returns nil (failing the run) if k
+// is infeasible for the engine's n.
+func (a *KLeaves) Next(v core.View) *tree.Tree {
+	t, err := tree.RandomWithLeavesInto(&a.buf, v.N(), a.k, a.src)
 	if err != nil {
 		return nil
 	}
 	return t
 }
 
-var _ core.Adversary = KLeaves{}
-
-// KInner plays random trees with exactly K inner nodes — the k-inner-node
+// KInner plays random trees with exactly k inner nodes — the k-inner-node
 // restricted adversary class of Zeiner et al.
 type KInner struct {
-	K   int
-	Src *rng.Source
+	source
+	k   int
+	buf tree.Buf
 }
 
-// Next implements core.Adversary. It returns nil (failing the run) if K is
-// infeasible for the engine's n.
-func (a KInner) Next(v core.View) *tree.Tree {
-	t, err := tree.RandomWithInner(v.N(), a.K, a.Src)
+// NewKInner returns a KInner playing trees with k inner nodes drawn from
+// src (nil until Reset).
+func NewKInner(k int, src *rng.Source) *KInner { return &KInner{source: source{src}, k: k} }
+
+// Next implements core.Adversary. It returns nil (failing the run) if k
+// is infeasible for the engine's n.
+func (a *KInner) Next(v core.View) *tree.Tree {
+	t, err := tree.RandomWithInnerInto(&a.buf, v.N(), a.k, a.src)
 	if err != nil {
 		return nil
 	}
 	return t
 }
 
-var _ core.Adversary = KInner{}
+// countingSortByAsc stably sorts order (a permutation of [0,n)) by
+// ascending key[v], using bucket as counting-sort scratch (grown to
+// maxKey+2). A stable sort by one key has a unique result, so this is
+// sort.SliceStable's order exactly, without reflection or allocation.
+func countingSortByAsc(order, tmp []int, key []int, bucket *[]int, maxKey int) {
+	buckets := tree.Grow(bucket, maxKey+2)
+	for i := range buckets {
+		buckets[i] = 0
+	}
+	for _, v := range order {
+		buckets[key[v]+1]++
+	}
+	for i := 0; i < maxKey+1; i++ {
+		buckets[i+1] += buckets[i]
+	}
+	copy(tmp, order)
+	for _, v := range tmp {
+		order[buckets[key[v]]] = v
+		buckets[key[v]]++
+	}
+}

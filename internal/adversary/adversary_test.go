@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"dyntreecast/internal/bounds"
@@ -79,7 +80,7 @@ func TestRandomAdversaryWithinBounds(t *testing.T) {
 	src := rng.New(7)
 	for _, n := range []int{2, 8, 32} {
 		for trial := 0; trial < 5; trial++ {
-			got, err := core.BroadcastTime(n, Random{Src: src})
+			got, err := core.BroadcastTime(n, NewRandom(src))
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -93,7 +94,7 @@ func TestRandomAdversaryWithinBounds(t *testing.T) {
 func TestRandomPathAdversaryWithinBounds(t *testing.T) {
 	src := rng.New(8)
 	for _, n := range []int{2, 8, 32} {
-		got, err := core.BroadcastTime(n, RandomPath{Src: src})
+		got, err := core.BroadcastTime(n, NewRandomPath(src))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -106,7 +107,7 @@ func TestRandomPathAdversaryWithinBounds(t *testing.T) {
 func TestKLeavesPlaysOnlyKLeafTrees(t *testing.T) {
 	src := rng.New(9)
 	const n, k = 12, 3
-	_, err := core.Run(n, KLeaves{K: k, Src: src}, core.Broadcast,
+	_, err := core.Run(n, NewKLeaves(k, src), core.Broadcast,
 		core.WithObserver(func(r int, tr *tree.Tree, e *core.Engine) {
 			if got := tr.NumLeaves(); got != k {
 				t.Errorf("round %d: tree has %d leaves, want %d", r, got, k)
@@ -119,8 +120,21 @@ func TestKLeavesPlaysOnlyKLeafTrees(t *testing.T) {
 
 func TestKLeavesInfeasibleFailsRun(t *testing.T) {
 	src := rng.New(9)
-	_, err := core.Run(3, KLeaves{K: 5, Src: src}, core.Broadcast)
+	_, err := core.Run(3, NewKLeaves(5, src), core.Broadcast)
 	if !errors.Is(err, core.ErrBadTree) {
+		t.Fatalf("err = %v, want ErrBadTree", err)
+	}
+}
+
+// TestKInnerInfeasibleFailsRun: like KLeaves, KInner returns no tree
+// when k is infeasible at the engine's n, also after a Reset.
+func TestKInnerInfeasibleFailsRun(t *testing.T) {
+	adv := NewKInner(9, nil)
+	adv.Reset(rng.New(1))
+	if tr := adv.Next(core.NewEngine(4)); tr != nil {
+		t.Errorf("infeasible k returned tree %v", tr)
+	}
+	if _, err := core.BroadcastTime(4, adv); !errors.Is(err, core.ErrBadTree) {
 		t.Fatalf("err = %v, want ErrBadTree", err)
 	}
 }
@@ -128,7 +142,7 @@ func TestKLeavesInfeasibleFailsRun(t *testing.T) {
 func TestKInnerPlaysOnlyKInnerTrees(t *testing.T) {
 	src := rng.New(10)
 	const n, k = 12, 4
-	_, err := core.Run(n, KInner{K: k, Src: src}, core.Broadcast,
+	_, err := core.Run(n, NewKInner(k, src), core.Broadcast,
 		core.WithObserver(func(r int, tr *tree.Tree, e *core.Engine) {
 			if got := tr.NumInner(); got != k {
 				t.Errorf("round %d: tree has %d inner nodes, want %d", r, got, k)
@@ -141,7 +155,7 @@ func TestKInnerPlaysOnlyKInnerTrees(t *testing.T) {
 
 func TestAscendingPathWithinBounds(t *testing.T) {
 	for _, n := range []int{2, 6, 20, 50} {
-		got, err := core.BroadcastTime(n, AscendingPath{})
+		got, err := core.BroadcastTime(n, &AscendingPath{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -157,11 +171,11 @@ func TestAscendingPathWithinBounds(t *testing.T) {
 func TestDescendingPathFasterThanAscending(t *testing.T) {
 	// DescendingPath accelerates broadcast; AscendingPath delays it.
 	for _, n := range []int{8, 24} {
-		asc, err := core.BroadcastTime(n, AscendingPath{})
+		asc, err := core.BroadcastTime(n, &AscendingPath{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		desc, err := core.BroadcastTime(n, DescendingPath{})
+		desc, err := core.BroadcastTime(n, &DescendingPath{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +190,7 @@ func TestBlockLeaderFreezesLeader(t *testing.T) {
 	// have grown.
 	e := core.NewEngine(8)
 	e.Step(tree.IdentityPath(8)) // create a leader
-	adv := BlockLeader{}
+	adv := &BlockLeader{}
 	for r := 0; r < 10 && !e.BroadcastDone(); r++ {
 		leader, before := leaderReach(e)
 		e.Step(adv.Next(e))
@@ -239,7 +253,7 @@ func TestReachCountsMatchPerBitModel(t *testing.T) {
 
 func TestBlockLeaderWithinBounds(t *testing.T) {
 	for _, n := range []int{2, 6, 20, 50} {
-		got, err := core.BroadcastTime(n, BlockLeader{})
+		got, err := core.BroadcastTime(n, &BlockLeader{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -251,7 +265,10 @@ func TestBlockLeaderWithinBounds(t *testing.T) {
 
 func TestTwoPhasePath(t *testing.T) {
 	const n = 10
-	adv := TwoPhasePath{N: n, SwitchAt: n / 2, Prefix: n / 2}
+	adv, err := NewTwoPhasePath(n, n/2, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := core.BroadcastTime(n, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -273,5 +290,47 @@ func TestTwoPhasePathWrongNPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	_, _ = core.BroadcastTime(5, TwoPhasePath{N: 7, SwitchAt: 3, Prefix: 3})
+	adv, err := NewTwoPhasePath(7, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = core.BroadcastTime(5, adv)
+}
+
+// TestTwoPhasePathValidation: the constructor rejects every malformed
+// shape, and a valid schedule plays the identity path for switchAt
+// rounds, then the path with its first prefix vertices reversed.
+func TestTwoPhasePathValidation(t *testing.T) {
+	for _, bad := range [][3]int{{0, 1, 0}, {4, -1, 2}, {4, 1, 5}, {4, 1, -1}} {
+		if _, err := NewTwoPhasePath(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("NewTwoPhasePath%v accepted", bad)
+		}
+	}
+	for _, n := range []int{4, 16, 33} {
+		for _, cfg := range [][2]int{{n / 2, n / 2}, {1, n}, {0, 1}} {
+			adv, err := NewTwoPhasePath(n, cfg[0], cfg[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase2 := make([]int, 0, n)
+			for i := cfg[1] - 1; i >= 0; i-- {
+				phase2 = append(phase2, i)
+			}
+			for i := cfg[1]; i < n; i++ {
+				phase2 = append(phase2, i)
+			}
+			_, err = core.Run(n, adv, core.Broadcast, core.WithObserver(func(r int, tr *tree.Tree, _ *core.Engine) {
+				want := tree.IdentityPath(n)
+				if r > cfg[0] {
+					want = tree.MustPath(phase2)
+				}
+				if !reflect.DeepEqual(tr.Parents(), want.Parents()) {
+					t.Fatalf("n=%d cfg=%v round %d: played %v, want %v", n, cfg, r, tr, want)
+				}
+			}))
+			if err != nil {
+				t.Fatalf("n=%d cfg=%v: %v", n, cfg, err)
+			}
+		}
+	}
 }

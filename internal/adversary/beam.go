@@ -86,7 +86,7 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 		return Replay{Trees: []*tree.Tree{tree.MustNew([]int{0})}}, 0
 	}
 
-	proposers := []core.Adversary{AscendingPath{}, BlockLeader{}, MinGain{Roots: 2}}
+	proposers := []core.Adversary{&AscendingPath{}, &BlockLeader{}, MinGain{Roots: 2}}
 
 	beam := []*beamNode{{eng: core.NewEngine(n)}}
 	bestRounds := 0
@@ -97,8 +97,10 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 		seen := map[string]bool{}
 		for _, node := range beam {
 			cands := make([]*tree.Tree, 0, len(proposers)+cfg.RandomMoves+cfg.RandomTrees)
+			// A proposer's tree lives only until its next Next call, and
+			// the history keeps every move: copy them.
 			for _, p := range proposers {
-				cands = append(cands, p.Next(node.eng))
+				cands = append(cands, p.Next(node.eng).Clone())
 			}
 			for i := 0; i < cfg.RandomMoves; i++ {
 				cands = append(cands, tree.RandomPath(n, src))

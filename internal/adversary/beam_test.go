@@ -98,3 +98,31 @@ func TestBeamSearchDeterministic(t *testing.T) {
 		t.Errorf("same seed gave %d and %d rounds", r1, r2)
 	}
 }
+
+// TestBeamSearchScheduleIsIndependentCopies: the heuristic proposers
+// build their trees in reusable buffers, so the schedule BeamSearch
+// returns must hold its own copies — no two trees sharing storage — and
+// replaying it must measure exactly the rounds the search certified.
+func TestBeamSearchScheduleIsIndependentCopies(t *testing.T) {
+	for _, n := range []int{5, 8, 12} {
+		replay, rounds := BeamSearch(n, BeamConfig{Width: 4, RandomMoves: 2, RandomTrees: 2, Seed: 3})
+		seen := map[*int]int{}
+		for i, tr := range replay.Trees {
+			p := &tr.Parents()[0]
+			if j, dup := seen[p]; dup {
+				t.Fatalf("n=%d: schedule trees %d and %d share storage", n, j, i)
+			}
+			seen[p] = i
+		}
+		got, err := core.BroadcastTime(n, replay)
+		if err != nil {
+			t.Fatalf("n=%d: replay failed: %v", n, err)
+		}
+		if got != rounds {
+			t.Errorf("n=%d: replay gives %d rounds, search certified %d", n, got, rounds)
+		}
+		if err := bounds.CheckSandwich(n, rounds); err != nil {
+			t.Error(err)
+		}
+	}
+}

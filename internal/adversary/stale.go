@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dyntreecast/internal/core"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -19,11 +18,10 @@ import (
 // The adversary is deterministic and source-free; its only state is a
 // ring of heard-count snapshots indexed by the view's round counter, so
 // one instance can drive many trials back to back (each trial restarts
-// at round 0 and overwrites the ring before ever reading it). It
-// implements the campaign layer's reusable-adversary contract directly:
-// the reusable form and a freshly built one are the same type, so the
-// batched and per-trial pipelines are trivially move-identical.
+// at round 0 and overwrites the ring before ever reading it), and its
+// Reset has nothing to do.
 type StaleAscendingPath struct {
+	sourceFree
 	lag   int
 	n     int
 	snaps [][]int // ring of lag+1 heard-count snapshots, indexed round mod (lag+1)
@@ -41,11 +39,6 @@ func NewStaleAscendingPath(lag int) (*StaleAscendingPath, error) {
 	}
 	return &StaleAscendingPath{lag: lag, n: -1}, nil
 }
-
-// Reset implements the campaign reusable-adversary contract. The ring is
-// self-cleaning — round r writes its snapshot before any round reads it,
-// and trials restart at round 0 — so there is nothing to rebind.
-func (*StaleAscendingPath) Reset(*rng.Source) {}
 
 // Next implements core.Adversary: record the current heard counts under
 // the view's round index, then build the ascending path from the counts

@@ -10,62 +10,19 @@ import (
 	"dyntreecast/internal/rng"
 )
 
-// batchSpec exercises every reuse-relevant axis in one grid: a random
-// family, a restricted k family with an axis, a deterministic adaptive
-// family, and a precomputed oblivious schedule.
-func batchSpec() Spec {
-	return Spec{
-		Name: "batching",
-		Scenarios: []Scenario{
-			{Adversary: "random-tree"},
-			{Adversary: "k-leaves", Params: map[string]any{"k": []any{2, 3}}},
-			{Adversary: "ascending-path"},
-			{Adversary: "two-phase-path"},
-		},
-		Ns:     []int{6, 13},
-		Trials: 5,
-		Seed:   99,
-	}
-}
-
-// TestBatchedPipelineByteIdentity is the tentpole acceptance property:
-// the batched, arena-pooled pipeline emits artifacts byte-identical to
-// the seed per-trial pipeline (NoReuse, batch 1), for every batch size ×
-// worker count combination — including the gossip goal.
+// TestBatchedPipelineByteIdentity is the batching battery: the golden
+// grid, under both goals, emits the committed golden artifact bytes for
+// every batch size × worker count combination.
 func TestBatchedPipelineByteIdentity(t *testing.T) {
-	specs := map[string]Spec{"broadcast": batchSpec()}
-	// Gossip variant: random families only — the deterministic path
-	// schedules stall gossip forever (see package gossip).
-	gossip := batchSpec()
-	gossip.Scenarios = []Scenario{
-		{Adversary: "random-tree"},
-		{Adversary: "k-leaves", Params: map[string]any{"k": []any{2, 3}}},
-	}
-	gossip.Goal = "gossip"
-	specs["gossip"] = gossip
-
-	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			// Reference: the pre-batching pipeline — per-trial jobs on
-			// fresh engines with fresh adversaries.
-			ref, err := RunSpec(context.Background(), spec, Config{Workers: 1, Batch: 1, NoReuse: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref.Failed != 0 {
-				t.Fatalf("reference run failed jobs: %v", ref.Errors)
-			}
-			want := artifactBytes(t, ref)
-
+	for _, goal := range goldenGoals {
+		t.Run(goal, func(t *testing.T) {
 			for _, batch := range []int{1, 3, 0} {
 				for _, workers := range []int{1, 4} {
-					o, err := RunSpec(context.Background(), spec, Config{Workers: workers, Batch: batch})
+					o, err := RunSpec(context.Background(), goldenSpec(goal), Config{Workers: workers, Batch: batch})
 					if err != nil {
 						t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
 					}
-					if got := artifactBytes(t, o); !bytes.Equal(got, want) {
-						t.Errorf("batch=%d workers=%d: artifact differs from seed pipeline", batch, workers)
-					}
+					checkGolden(t, fmt.Sprintf("batch=%d workers=%d", batch, workers), o)
 				}
 			}
 		})
@@ -74,15 +31,9 @@ func TestBatchedPipelineByteIdentity(t *testing.T) {
 
 // TestBatchedKillAndResumeByteIdentity extends the checkpoint guarantee
 // to the batched pipeline: kill mid-run at any batch size, resume at
-// another, and the artifact still matches an uninterrupted run's bytes.
+// another, and the artifact still matches the golden bytes.
 func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
-	spec := batchSpec()
-	unint, err := RunSpec(context.Background(), spec, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := artifactBytes(t, unint)
-
+	spec := goldenSpec("broadcast")
 	for _, batch := range []int{1, 3, 0} {
 		for _, resumeBatch := range []int{0, 1} {
 			// Phase 1: checkpoint into memory and cancel after a few
@@ -128,9 +79,7 @@ func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := artifactBytes(t, resumed); !bytes.Equal(got, want) {
-				t.Errorf("batch=%d resumeBatch=%d: resumed artifact differs", batch, resumeBatch)
-			}
+			checkGolden(t, fmt.Sprintf("batch=%d resumeBatch=%d", batch, resumeBatch), resumed)
 		}
 	}
 }
@@ -171,17 +120,17 @@ func TestSliceBatches(t *testing.T) {
 	}
 }
 
-// TestFamilyReusableMatchesNew runs every built-in family that declares
-// NewReusable both ways — fresh construction per trial versus one
-// reusable adversary Reset per trial — and requires identical rounds.
-// This is the registry-level form of the adversary package's
-// differential suite.
+// TestFamilyReusableMatchesNew is the reset contract every built-in
+// family's NewReusable must keep: at each n, one instance Reset per trial
+// — the arena's lifecycle for a cell — plays the same rounds as a
+// freshly constructed instance per trial. The n sequence shrinks and
+// grows between cells (cross-n reuse of the stock adversaries'
+// buffers is pinned in the adversary package).
 func TestFamilyReusableMatchesNew(t *testing.T) {
-	for _, f := range Families() {
-		if f.NewReusable == nil {
-			continue
-		}
-		f := f
+	// The built-ins as registered (defaults normalized); families other
+	// tests register are fixtures, not adversaries.
+	for _, b := range append(builtinFamilies(), searchFamilies()...) {
+		f, _ := familyByName(b.Name)
 		t.Run(f.Name, func(t *testing.T) {
 			var params Params
 			if len(f.Params) > 0 {
@@ -194,26 +143,28 @@ func TestFamilyReusableMatchesNew(t *testing.T) {
 					}
 				}
 			}
-			const n = 9
-			if f.Feasible != nil && !f.Feasible(n, params) {
-				t.Skipf("%s infeasible at n=%d with default params", f.Name, n)
-			}
 			runner := core.NewRunner()
-			reusable, err := f.NewReusable(n, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for trial := 0; trial < 5; trial++ {
-				seed := uint64(trial + 1)
-				plain, err := f.New(n, params, rng.New(seed))
+			for _, n := range []int{16, 5, 31} {
+				if f.Feasible != nil && !f.Feasible(n, params) {
+					continue
+				}
+				reused, err := f.NewReusable(n, params)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, errA := core.BroadcastTime(n, plain)
-				reusable.Reset(rng.New(seed))
-				got, errB := runner.BroadcastTime(n, reusable)
-				if errA != nil || errB != nil || want != got {
-					t.Fatalf("trial %d: plain %d (%v), reusable %d (%v)", trial, want, errA, got, errB)
+				for trial := 0; trial < 4; trial++ {
+					seed := uint64(n*100 + trial)
+					fresh, err := f.NewReusable(n, params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh.Reset(rng.New(seed))
+					want, errA := core.BroadcastTime(n, fresh)
+					reused.Reset(rng.New(seed))
+					got, errB := runner.BroadcastTime(n, reused)
+					if errA != nil || errB != nil || want != got {
+						t.Fatalf("n=%d trial %d: fresh %d (%v), reused %d (%v)", n, trial, want, errA, got, errB)
+					}
 				}
 			}
 		})

@@ -226,6 +226,7 @@ func TestInstrumentForwardsDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrapped := Instrument("delete-test", dir)
+	deletes0 := mDeletes.With("delete-test").Value() // process-global: compare the delta
 	d, ok := wrapped.(Deleter)
 	if !ok {
 		t.Fatal("instrumented cache lost the Deleter capability")
@@ -239,7 +240,7 @@ func TestInstrumentForwardsDelete(t *testing.T) {
 	if _, ok, _ := dir.Get(key1); ok {
 		t.Error("delete did not reach the wrapped backend")
 	}
-	if got := mDeletes.With("delete-test").Value(); got != 1 {
+	if got := mDeletes.With("delete-test").Value() - deletes0; got != 1 {
 		t.Errorf("campaign_cache_deletes_total = %d, want 1", got)
 	}
 	// A Deleter-less backend stays delete-less but does not error.

@@ -10,6 +10,10 @@ import (
 // miss, every Put as a store, and passes bytes through unmodified.
 func TestInstrumentCounts(t *testing.T) {
 	c := Instrument("unit-mem", NewMemory())
+	// The registry is process-global: compare deltas, so -count > 1
+	// reruns see only their own traffic.
+	hits0, misses0 := mRequests.With("unit-mem", "hit").Value(), mRequests.With("unit-mem", "miss").Value()
+	puts0, errs0 := mPuts.With("unit-mem").Value(), mErrors.With("unit-mem").Value()
 
 	if err := c.Put("k1", []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -22,16 +26,16 @@ func TestInstrumentCounts(t *testing.T) {
 		t.Fatal("Get(absent) reported a hit")
 	}
 
-	if got := mRequests.With("unit-mem", "hit").Value(); got != 1 {
+	if got := mRequests.With("unit-mem", "hit").Value() - hits0; got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}
-	if got := mRequests.With("unit-mem", "miss").Value(); got != 1 {
+	if got := mRequests.With("unit-mem", "miss").Value() - misses0; got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
-	if got := mPuts.With("unit-mem").Value(); got != 1 {
+	if got := mPuts.With("unit-mem").Value() - puts0; got != 1 {
 		t.Errorf("puts = %d, want 1", got)
 	}
-	if got := mErrors.With("unit-mem").Value(); got != 0 {
+	if got := mErrors.With("unit-mem").Value() - errs0; got != 0 {
 		t.Errorf("errors = %d, want 0", got)
 	}
 }
@@ -47,6 +51,7 @@ func (f failing) Put(string, []byte) error         { return f.err }
 func TestInstrumentErrors(t *testing.T) {
 	wantErr := errors.New("disk gone")
 	c := Instrument("unit-bad", failing{wantErr})
+	errs0 := mErrors.With("unit-bad").Value()
 
 	if _, _, err := c.Get("k"); !errors.Is(err, wantErr) {
 		t.Fatalf("Get error = %v, want %v", err, wantErr)
@@ -54,7 +59,7 @@ func TestInstrumentErrors(t *testing.T) {
 	if err := c.Put("k", nil); !errors.Is(err, wantErr) {
 		t.Fatalf("Put error = %v, want %v", err, wantErr)
 	}
-	if got := mErrors.With("unit-bad").Value(); got != 2 {
+	if got := mErrors.With("unit-bad").Value() - errs0; got != 2 {
 		t.Errorf("errors = %d, want 2", got)
 	}
 	for _, series := range []struct {

@@ -5,10 +5,10 @@
 //
 // Jobs are scheduled as cell batches (DESIGN.md §3d): consecutive trials
 // of one grid cell run sequentially on one worker, against the worker's
-// Arena — a pooled core.Runner plus a per-cell reusable adversary — so
-// the steady-state trial loop allocates nothing. Config.Batch caps the
-// batch size (0 = whole cell) and Config.NoReuse reverts to the
-// per-trial pipeline; neither changes a single output byte.
+// Arena — a pooled core.Runner plus the cell's adversary, Reset per
+// trial — so the steady-state trial loop allocates nothing. Config.Batch
+// caps the batch size (0 = whole cell) without changing a single output
+// byte.
 //
 // Scenarios name adversary families from an open registry (scenario.go,
 // DESIGN.md §3c): each family self-describes its parameters — names,
@@ -75,32 +75,26 @@ type Measurement struct {
 //
 // The pool schedules jobs in cell batches (Config.Batch): consecutive
 // jobs sharing a non-empty Cell run sequentially on one worker, whose
-// Arena — a pooled core.Runner plus a per-cell reusable adversary — they
-// share through RunArena. Because every job still owns its pre-split
-// source and results are observed in index order, batching is invisible
-// in the output: artifacts are byte-identical for every batch size and
-// worker count.
+// Arena — a pooled core.Runner plus the cell's adversary — they share.
+// Because every job still owns its pre-split source and results are
+// observed in index order, batching is invisible in the output:
+// artifacts are byte-identical for every batch size and worker count.
 type Job struct {
 	Index int         // position in compile order; doubles as the result slot
 	Cell  string      // aggregation cell (set by Spec.Compile; "" for ad-hoc jobs)
 	Src   *rng.Source // private generator, pre-split at compile time
-	// Run executes the job on a fresh engine — the reference per-trial
-	// path, used when RunArena is absent or Config.NoReuse is set.
-	Run func(ctx context.Context, src *rng.Source) ([]Measurement, error)
-	// RunArena, when non-nil, is preferred by the pool: it receives the
-	// worker's Arena and must produce results identical to Run's for the
-	// same source (the batched pipeline's byte-identity tests pin this
-	// for every compiled spec).
-	RunArena func(ctx context.Context, src *rng.Source, a *Arena) ([]Measurement, error)
+	// Run executes the job from src on the worker's Arena. Jobs that do
+	// not simulate a run (ad-hoc searches, say) ignore the arena.
+	Run func(ctx context.Context, src *rng.Source, a *Arena) ([]Measurement, error)
 }
 
-// ReusableAdversary is the reuse contract of the batched pipeline: an
-// adversary whose per-n scratch (tree buffers, bitset rows) persists
-// across the trials of a cell. Reset rebinds it to a fresh trial's
+// ReusableAdversary is the contract of every campaign adversary: one
+// instance, whose per-n scratch (tree buffers, bitset rows) persists,
+// plays every trial of a cell. Reset rebinds it to a fresh trial's
 // random source; after Reset it must behave exactly as a freshly
-// constructed adversary would — same draws, same trees — so that batched
-// and per-trial execution stay byte-identical. The adversary package's
-// Reusable* types implement it.
+// constructed adversary would — same draws, same trees — so artifacts
+// do not depend on which worker ran which trials. The adversary
+// package's campaign families implement it.
 type ReusableAdversary interface {
 	core.Adversary
 	// Reset prepares the adversary to drive a fresh run from src (which
@@ -110,8 +104,8 @@ type ReusableAdversary interface {
 
 // Arena is the reusable execution state one worker owns for its whole
 // lifetime: a pooled core.Runner (engine + per-run scratch, Reset per
-// trial instead of reallocated) and the current cell's reusable
-// adversary. Job closures receive it through RunArena.
+// trial instead of reallocated) and the current cell's adversary. Job
+// closures receive it as their third argument.
 type Arena struct {
 	// Runner is the worker's pooled trial driver.
 	Runner *core.Runner
@@ -123,7 +117,7 @@ type Arena struct {
 // NewArena returns a fresh arena with an empty pooled runner.
 func NewArena() *Arena { return &Arena{Runner: core.NewRunner()} }
 
-// AdversaryFor returns the arena's reusable adversary for cell, invoking
+// AdversaryFor returns the arena's adversary for cell, invoking
 // build only on first use or when the worker moved to a different cell,
 // and Reset-ing it to src either way. One adversary construction per
 // (worker, cell) instead of one per trial.
@@ -160,11 +154,6 @@ type Config struct {
 	// parallelism on grids with few cells. Jobs with an empty Cell are
 	// never batched together.
 	Batch int
-	// NoReuse disables the pooled arenas: every job runs its plain Run
-	// closure on a fresh engine, recovering the seed per-trial pipeline
-	// exactly. Results are identical either way — the knob exists for
-	// differential testing and bisection, not tuning.
-	NoReuse bool
 	// Progress, when non-nil, is called after every completed job with the
 	// number of jobs finished so far and the total. Calls are serialized
 	// and done is nondecreasing. Jobs reused from Completed count toward
@@ -250,7 +239,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 						// Drain without running so the feeder never blocks.
 						continue
 					}
-					ms, err := execJob(ctx, jobs[idx], arena, cfg.NoReuse)
+					ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
 					results[idx] = JobResult{Index: idx, Measurements: ms, Err: err}
 					countJob(err)
 					if cfg.Progress != nil || cfg.OnResult != nil {
@@ -321,17 +310,6 @@ func initResults(jobs []Job, completed map[int]JobResult) ([]JobResult, int) {
 		reused++
 	}
 	return results, reused
-}
-
-// execJob runs one job on the worker's arena, preferring the pooled
-// RunArena closure unless noReuse forces the reference per-trial path.
-// Shared by the local pool and the remote path's local fallback so the
-// dispatch rule cannot drift.
-func execJob(ctx context.Context, job Job, arena *Arena, noReuse bool) ([]Measurement, error) {
-	if job.RunArena != nil && (!noReuse || job.Run == nil) {
-		return job.RunArena(ctx, job.Src, arena)
-	}
-	return job.Run(ctx, job.Src)
 }
 
 // batch is one scheduling unit: the half-open job-index range [lo, hi).

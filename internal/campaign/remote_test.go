@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -165,34 +166,25 @@ func outcomeJSON(t *testing.T, out *Outcome) string {
 
 // TestRunSpecRemoteByteIdentity pins the core contract of the remote
 // path: for every split of cells between the "remote" executor and the
-// local pool — all remote, all local, interleaved — and with NoReuse on
-// or off, the artifact is byte-identical to the plain local pipeline.
+// local pool — all remote, all local, interleaved — and every worker
+// count, the artifact carries the golden bytes of the local pipeline.
 func TestRunSpecRemoteByteIdentity(t *testing.T) {
-	spec := remoteTestSpec()
-	want, err := RunSpec(context.Background(), spec, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON := outcomeJSON(t, want)
-
 	splits := map[string]func(i int, job CellJob) bool{
 		"all-remote":  func(int, CellJob) bool { return true },
 		"all-local":   func(int, CellJob) bool { return false },
 		"interleaved": func(i int, _ CellJob) bool { return i%2 == 0 },
 	}
 	for name, takes := range splits {
-		for _, noReuse := range []bool{false, true} {
-			out, err := RunSpec(context.Background(), spec, Config{
-				Workers: 2, Remote: &fakeRemote{takes: takes}, NoReuse: noReuse,
+		for _, workers := range []int{1, 2} {
+			out, err := RunSpec(context.Background(), goldenSpec("broadcast"), Config{
+				Workers: workers, Remote: &fakeRemote{takes: takes},
 			})
 			if err != nil {
-				t.Fatalf("%s noReuse=%v: %v", name, noReuse, err)
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			if got := outcomeJSON(t, out); got != wantJSON {
-				t.Errorf("%s noReuse=%v: artifact differs from local run:\n%s\nvs\n%s", name, noReuse, got, wantJSON)
-			}
+			checkGolden(t, fmt.Sprintf("%s workers=%d", name, workers), out)
 			if out.Completed != out.Jobs || out.Failed != 0 {
-				t.Errorf("%s noReuse=%v: completed %d/%d, failed %d", name, noReuse, out.Completed, out.Jobs, out.Failed)
+				t.Errorf("%s workers=%d: completed %d/%d, failed %d", name, workers, out.Completed, out.Jobs, out.Failed)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"dyntreecast/internal/adversary"
 	"dyntreecast/internal/campaign/cache"
 	"dyntreecast/internal/core"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -180,23 +179,35 @@ func TestTwoPhasePathScenarioRuns(t *testing.T) {
 	}
 }
 
+// registerOnce registers f unless a family of that name already is: the
+// registry is process-wide, and -count > 1 reruns the registering tests.
+func registerOnce(t *testing.T, f Family) {
+	t.Helper()
+	if _, ok := familyByName(f.Name); ok {
+		return
+	}
+	if err := Register(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRegisterValidation: the registry rejects malformed and duplicate
 // families.
 func TestRegisterValidation(t *testing.T) {
 	cases := map[string]Family{
-		"empty name":      {New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+		"empty name":      {NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"nil constructor": {Name: "t-nil-ctor"},
-		"dup family":      {Name: "random-tree", New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+		"dup family":      {Name: "random-tree", NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"unnamed param": {Name: "t-unnamed", Params: []Param{{Kind: IntParam}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"dup param": {Name: "t-dup-param", Params: []Param{{Name: "a", Kind: IntParam}, {Name: "a", Kind: IntParam}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"bad kind": {Name: "t-bad-kind", Params: []Param{{Name: "a", Kind: "complex"}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"bad default": {Name: "t-bad-default", Params: []Param{{Name: "a", Kind: IntParam, Default: "x"}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"portfolio reserved": {Name: "t-portfolio", Portfolio: true,
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 	}
 	for name, f := range cases {
 		if err := Register(f); err == nil {
@@ -210,12 +221,10 @@ func TestRegisterValidation(t *testing.T) {
 // Param slice.
 func TestRegisterNormalizesDefaults(t *testing.T) {
 	params := []Param{{Name: "d", Kind: IntParam, Default: 7}}
-	if err := Register(Family{
+	registerOnce(t, Family{
 		Name: "t-defaults", Params: params,
-		New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
+		NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil },
+	})
 	f, ok := familyByName("t-defaults")
 	if !ok {
 		t.Fatal("family not registered")
@@ -253,14 +262,12 @@ func TestTwoPhaseInfeasiblePrefixSkipped(t *testing.T) {
 // whose construction fails at run time reports the error with the cell
 // named, instead of panicking the worker.
 func TestConstructionErrorNamesCell(t *testing.T) {
-	if err := Register(Family{
+	registerOnce(t, Family{
 		Name: "t-always-errors",
-		New: func(int, Params, *rng.Source) (core.Adversary, error) {
+		NewReusable: func(int, Params) (ReusableAdversary, error) {
 			return nil, context.DeadlineExceeded // any error will do
 		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	spec := Spec{Scenarios: []Scenario{{Adversary: "t-always-errors"}}, Ns: []int{4}, Trials: 2, Seed: 1}
 	o, err := RunSpec(context.Background(), spec, Config{})
 	if err != nil {
@@ -282,23 +289,21 @@ func TestCustomFamilyFullServiceLayer(t *testing.T) {
 	// A "lazy-star" adversary: plays the star rooted at (round+offset) mod
 	// n — broadcast completes in 1 round regardless, keeping the test fast
 	// and the expected mean pinned.
-	if err := Register(Family{
+	registerOnce(t, Family{
 		Name:   "t-lazy-star",
 		Doc:    "star rooted at (round+offset) mod n",
 		Params: []Param{{Name: "offset", Kind: IntParam, Default: 0, Doc: "root offset"}},
-		New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
+		NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 			offset := p.Int("offset")
-			return adversary.Func(func(v core.View) *tree.Tree {
+			return adversary.Stateless{Adversary: adversary.Func(func(v core.View) *tree.Tree {
 				s, err := tree.Star(v.N(), (v.Round()+offset)%v.N())
 				if err != nil {
 					return nil
 				}
 				return s
-			}), nil
+			})}, nil
 		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	spec := Spec{
 		Name:      "custom",
@@ -411,16 +416,14 @@ func TestParseScenarioRejectsTrailingData(t *testing.T) {
 // artifact rows, and checkpoint JSONL readability. Both spec expansion
 // and registration-time defaults must reject them.
 func TestStringParamSeparatorsRejected(t *testing.T) {
-	if err := Register(Family{
+	registerOnce(t, Family{
 		Name:   "string-param-probe",
 		Doc:    "test-only family with a string param",
 		Params: []Param{{Name: "mode", Kind: StringParam, Default: "greedy", Doc: "probe"}},
-		New: func(n int, _ Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Static{Tree: tree.IdentityPath(n)}, nil
+		NewReusable: func(n int, _ Params) (ReusableAdversary, error) {
+			return adversary.Stateless{Adversary: adversary.Static{Tree: tree.IdentityPath(n)}}, nil
 		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	for _, bad := range []string{"a/b", "a=b", "a,b", "a\nb", "a\tb", "\x00", "del\x7f"} {
 		sc := Scenario{Adversary: "string-param-probe", Params: map[string]any{"mode": bad}}
 		if _, err := expandScenario(sc); err == nil {
@@ -442,8 +445,8 @@ func TestStringParamSeparatorsRejected(t *testing.T) {
 		Name:   "string-param-bad-default",
 		Doc:    "test-only family with a corrupt default",
 		Params: []Param{{Name: "mode", Kind: StringParam, Default: "a/b", Doc: "probe"}},
-		New: func(n int, _ Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Static{Tree: tree.IdentityPath(n)}, nil
+		NewReusable: func(n int, _ Params) (ReusableAdversary, error) {
+			return adversary.Stateless{Adversary: adversary.Static{Tree: tree.IdentityPath(n)}}, nil
 		},
 	})
 	if err == nil {
@@ -534,24 +537,22 @@ func TestGroundScenariosAndCellName(t *testing.T) {
 // by no built-in family — normalize, render, and expand like the int and
 // string kinds.
 func TestFloatBoolParamCanonicalization(t *testing.T) {
-	if err := Register(Family{
+	registerOnce(t, Family{
 		Name: "t-knobs",
 		Params: []Param{
 			{Name: "rate", Kind: FloatParam, Default: 1.0, Doc: "a float knob"},
 			{Name: "flip", Kind: BoolParam, Default: false, Doc: "a bool knob"},
 		},
-		New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Func(func(v core.View) *tree.Tree {
+		NewReusable: func(n int, p Params) (ReusableAdversary, error) {
+			return adversary.Stateless{Adversary: adversary.Func(func(v core.View) *tree.Tree {
 				s, err := tree.Star(v.N(), 0)
 				if err != nil {
 					return nil
 				}
 				return s
-			}), nil
+			})}, nil
 		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	// int-typed Go values reach float params through toFloat; fractional
 	// floats and bools render into the cell key verbatim.

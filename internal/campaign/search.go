@@ -6,10 +6,8 @@ import (
 	"sync/atomic"
 
 	"dyntreecast/internal/adversary"
-	"dyntreecast/internal/core"
 	"dyntreecast/internal/gamesolver"
 	"dyntreecast/internal/metrics"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -27,9 +25,8 @@ import (
 //
 // Within one process the schedule itself is memoized per (family, n,
 // params): a cell's worth of trials — or a whole grid column re-visited
-// by a later campaign in the same process — runs the search exactly once,
-// whether jobs go through the per-trial path (New) or the batched path
-// (NewReusable).
+// by a later campaign in the same process, or built by several workers —
+// runs the search exactly once.
 
 // mScheduleSearches counts actual search executions (memo misses); the
 // ratio to jobs completed shows how much the schedule memo saves.
@@ -48,11 +45,11 @@ var (
 	schedSearches atomic.Int64
 )
 
-// scheduleFor returns the memoized schedule for key, running search at
-// most once per process per key (concurrent callers for the same key
-// block on the one search). Errors are memoized too: the search is a
-// deterministic function of the key, so a failure would only repeat.
-func scheduleFor(key string, search func() ([]*tree.Tree, error)) ([]*tree.Tree, error) {
+// replayFor returns a replay of the memoized schedule for key, running
+// search at most once per process per key (concurrent callers for the
+// same key block on the one search). Errors are memoized too: the search
+// is a deterministic function of the key, so a failure would only repeat.
+func replayFor(key string, search func() ([]*tree.Tree, error)) (ReusableAdversary, error) {
 	schedMu.Lock()
 	e := schedMemo[key]
 	if e == nil {
@@ -65,7 +62,10 @@ func scheduleFor(key string, search func() ([]*tree.Tree, error)) ([]*tree.Tree,
 		mScheduleSearches.Inc()
 		e.trees, e.err = search()
 	})
-	return e.trees, e.err
+	if e.err != nil {
+		return nil, e.err
+	}
+	return adversary.Stateless{Adversary: adversary.Replay{Trees: e.trees}}, nil
 }
 
 // scheduleSearchCount reports how many searches have actually executed in
@@ -104,13 +104,13 @@ func beamConfigFromParams(p Params) (adversary.BeamConfig, error) {
 	return cfg, nil
 }
 
-func beamSchedule(n int, p Params) ([]*tree.Tree, error) {
+func beamReplay(n int, p Params) (ReusableAdversary, error) {
 	cfg, err := beamConfigFromParams(p)
 	if err != nil {
 		return nil, err
 	}
 	key := fmt.Sprintf("beam-search/n=%d/%s", n, canonicalParams(p))
-	return scheduleFor(key, func() ([]*tree.Tree, error) {
+	return replayFor(key, func() ([]*tree.Tree, error) {
 		rep, _ := adversary.BeamSearch(n, cfg)
 		if len(rep.Trees) == 0 {
 			// Degenerate n; Replay needs at least one tree to be a valid
@@ -121,10 +121,10 @@ func beamSchedule(n int, p Params) ([]*tree.Tree, error) {
 	})
 }
 
-func deepLineSchedule(n int, p Params) ([]*tree.Tree, error) {
+func deepLineReplay(n int, p Params) (ReusableAdversary, error) {
 	budget, width := p.Int("budget"), p.Int("width")
 	key := fmt.Sprintf("deepest-line/n=%d/%s", n, canonicalParams(p))
-	return scheduleFor(key, func() ([]*tree.Tree, error) {
+	return replayFor(key, func() ([]*tree.Tree, error) {
 		line, _, err := gamesolver.DeepestLine(n, budget, width)
 		if err != nil {
 			return nil, err
@@ -155,20 +155,7 @@ func searchFamilies() []Family {
 				_, err := beamConfigFromParams(p)
 				return err
 			},
-			New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-				sched, err := beamSchedule(n, p)
-				if err != nil {
-					return nil, err
-				}
-				return adversary.Replay{Trees: sched}, nil
-			},
-			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
-				sched, err := beamSchedule(n, p)
-				if err != nil {
-					return nil, err
-				}
-				return adversary.Stateless{Adversary: adversary.Replay{Trees: sched}}, nil
-			},
+			NewReusable: beamReplay,
 		},
 		{
 			Name: "deepest-line",
@@ -189,20 +176,7 @@ func searchFamilies() []Family {
 			Feasible: func(n int, _ Params) bool {
 				return n >= 1 && n <= gamesolver.HardMaxN
 			},
-			New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-				sched, err := deepLineSchedule(n, p)
-				if err != nil {
-					return nil, err
-				}
-				return adversary.Replay{Trees: sched}, nil
-			},
-			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
-				sched, err := deepLineSchedule(n, p)
-				if err != nil {
-					return nil, err
-				}
-				return adversary.Stateless{Adversary: adversary.Replay{Trees: sched}}, nil
-			},
+			NewReusable: deepLineReplay,
 		},
 	}
 }

@@ -29,7 +29,7 @@ func TestFloodMinDecidesGlobalMin(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			src := rng.New(1)
-			res, err := FloodMin(tt.proposals, adversary.Random{Src: src})
+			res, err := FloodMin(tt.proposals, adversary.NewRandom(src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestFloodMinSingleProcess(t *testing.T) {
 }
 
 func TestFloodMinEmptyProposals(t *testing.T) {
-	if _, err := FloodMin(nil, adversary.AscendingPath{}); !errors.Is(err, ErrNoProposals) {
+	if _, err := FloodMin(nil, &adversary.AscendingPath{}); !errors.Is(err, ErrNoProposals) {
 		t.Fatalf("err = %v, want ErrNoProposals", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestFloodMinValidityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src, proposals := floodMinCase(seed)
 		n := len(proposals)
-		res, err := FloodMin(proposals, adversary.Random{Src: src})
+		res, err := FloodMin(proposals, adversary.NewRandom(src))
 		if err != nil || !res.Terminated {
 			return errors.Is(err, core.ErrMaxRounds) && !res.Terminated && res.Rounds == n*n+1
 		}
@@ -126,7 +126,7 @@ func TestFloodMinValidityProperty(t *testing.T) {
 func TestFloodMinTerminatesUnderRandomWithinBudget(t *testing.T) {
 	f := func(seed uint64) bool {
 		src, proposals := floodMinCase(seed)
-		res, err := FloodMin(proposals, adversary.Random{Src: src}, core.WithMaxRounds(64*len(proposals)))
+		res, err := FloodMin(proposals, adversary.NewRandom(src), core.WithMaxRounds(64*len(proposals)))
 		return err == nil && res.Terminated && res.Rounds <= 64*len(proposals)
 	}
 	if err := quick.Check(f, quickConfig(t, 200)); err != nil {
@@ -156,7 +156,7 @@ func TestEagerFloodMinFullQuorumIsSafe(t *testing.T) {
 	// quorum = n is exactly FloodMin: always agreement.
 	src := rng.New(2)
 	proposals := []int{4, 0, 9, 2, 6}
-	res, err := EagerFloodMin(proposals, 5, adversary.Random{Src: src})
+	res, err := EagerFloodMin(proposals, 5, adversary.NewRandom(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestEagerFloodMinFullQuorumIsSafe(t *testing.T) {
 
 func TestEagerFloodMinQuorumValidation(t *testing.T) {
 	for _, q := range []int{0, 4} {
-		if _, err := EagerFloodMin([]int{1, 2, 3}, q, adversary.AscendingPath{}); err == nil {
+		if _, err := EagerFloodMin([]int{1, 2, 3}, q, &adversary.AscendingPath{}); err == nil {
 			t.Errorf("quorum %d accepted for n=3", q)
 		}
 	}
-	if _, err := EagerFloodMin(nil, 1, adversary.AscendingPath{}); !errors.Is(err, ErrNoProposals) {
+	if _, err := EagerFloodMin(nil, 1, &adversary.AscendingPath{}); !errors.Is(err, ErrNoProposals) {
 		t.Errorf("empty proposals: %v", err)
 	}
 }

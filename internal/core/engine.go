@@ -33,6 +33,12 @@ import (
 // Adversary chooses the round graph for each round, observing the current
 // knowledge state. Implementations must return a tree on exactly View.N()
 // vertices; they must not retain or mutate the View's sets.
+//
+// A returned tree is valid until that adversary's next Next call: an
+// adversary may build every round's tree in the same buffers, and the
+// round loop needs the tree only until Step and the observer return. A
+// caller that keeps trees across calls (a search recording the moves it
+// tried) must copy them with Tree.Clone.
 type Adversary interface {
 	// Next returns the tree for round v.Round()+1.
 	Next(v View) *tree.Tree
@@ -155,6 +161,14 @@ func (e *Engine) BroadcastDone() bool { return !e.inter.Empty() }
 func (e *Engine) GossipDone() bool {
 	e.advanceFullPrefix()
 	return e.fullPrefix == e.n
+}
+
+// done reports whether goal holds in the current state.
+func (e *Engine) done(goal Goal) bool {
+	if goal == Gossip {
+		return e.GossipDone()
+	}
+	return e.BroadcastDone()
 }
 
 func (e *Engine) advanceFullPrefix() {
@@ -345,6 +359,14 @@ type config struct {
 // Option configures Run.
 type Option func(*config)
 
+func newConfig(n int, opts []Option) config {
+	cfg := config{maxRounds: n*n + 1}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // WithMaxRounds caps the number of rounds. The default is n²+1, which the
 // trivial bound of §2 guarantees is enough for broadcast under any valid
 // adversary.
@@ -354,62 +376,34 @@ func WithMaxRounds(m int) Option {
 
 // WithObserver installs a per-round callback, invoked after each round with
 // the 1-based round number, the tree just applied, and the engine. The
-// observer must treat the engine as read-only.
+// observer must treat the engine as read-only, and the tree is valid only
+// during the call (see Adversary).
 func WithObserver(fn func(round int, t *tree.Tree, e *Engine)) Option {
 	return func(c *config) { c.observer = fn }
 }
 
 // Run drives adv from the initial state until the goal holds, returning
 // t* in Result.Rounds. If the round budget is exhausted first it returns
-// the partial result and an error wrapping ErrMaxRounds.
+// the partial result and an error wrapping ErrMaxRounds. It runs the
+// Runner's round loop on a fresh Runner and then materializes the Result.
 func Run(n int, adv Adversary, goal Goal, opts ...Option) (Result, error) {
-	cfg := config{maxRounds: n*n + 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	e := NewEngine(n)
-	done := func() bool {
-		if goal == Gossip {
-			return e.GossipDone()
-		}
-		return e.BroadcastDone()
-	}
-	for !done() {
-		if e.round >= cfg.maxRounds {
-			res := resultOf(e, goal, false)
-			return res, fmt.Errorf("%w: %s incomplete after %d rounds (n=%d)",
-				ErrMaxRounds, goal, e.round, n)
-		}
-		t := adv.Next(e)
-		if t == nil || t.N() != n {
-			res := resultOf(e, goal, false)
-			return res, fmt.Errorf("%w: round %d", ErrBadTree, e.round+1)
-		}
-		e.Step(t)
-		if cfg.observer != nil {
-			cfg.observer(e.round, t, e)
-		}
-	}
-	return resultOf(e, goal, true), nil
-}
-
-func resultOf(e *Engine, goal Goal, completed bool) Result {
+	cfg := newConfig(n, opts)
+	r := NewRunner()
+	_, err := r.run(n, adv, goal, cfg.maxRounds, cfg.observer)
+	e := r.engine
 	return Result{
 		N:            e.n,
 		Goal:         goal,
 		Rounds:       e.round,
-		Completed:    completed,
+		Completed:    err == nil,
 		Broadcasters: e.inter.Slice(),
 		FinalStats:   e.Stats(),
-	}
+	}, err
 }
 
 // BroadcastTime is the common case: run adv to broadcast completion and
 // return t*.
 func BroadcastTime(n int, adv Adversary, opts ...Option) (int, error) {
-	res, err := Run(n, adv, Broadcast, opts...)
-	if err != nil {
-		return res.Rounds, err
-	}
-	return res.Rounds, nil
+	cfg := newConfig(n, opts)
+	return NewRunner().run(n, adv, Broadcast, cfg.maxRounds, cfg.observer)
 }

@@ -1,18 +1,20 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"dyntreecast/internal/tree"
+)
 
 // Runner is the allocation-free trial driver of the batched pipeline: it
 // owns one reusable Engine and drives adversaries to completion without
-// materializing a Result. The package-level Run allocates a fresh engine
-// and a full Result (final matrix statistics included) per call; a warm
+// materializing a Result. Its round loop is the only one in the package:
+// the package-level Run and BroadcastTime drive a fresh Runner. A warm
 // Runner reuses everything via Engine.Reset, so a trial costs only what
 // the adversary itself allocates. Each campaign worker owns one Runner
 // and serves every trial it executes with it (see DESIGN.md §3d).
 //
-// A Runner is not safe for concurrent use, and the round counts it
-// returns are identical to the package-level Run's for the same adversary
-// and stream — the differential tests in runner_test.go pin this.
+// A Runner is not safe for concurrent use.
 type Runner struct {
 	// MaxRounds caps each run's rounds; 0 selects the n²+1 default of the
 	// §2 trivial bound, exactly as WithMaxRounds does for Run. It is
@@ -49,19 +51,19 @@ func (r *Runner) budget(n int) int {
 }
 
 // Run drives adv from the round-0 state until the goal holds and returns
-// the number of rounds applied (the paper's t* for Broadcast). Error
-// conditions and messages match the package-level Run, so the two paths
-// produce byte-identical campaign artifacts.
+// the number of rounds applied (the paper's t* for Broadcast).
 func (r *Runner) Run(n int, adv Adversary, goal Goal) (int, error) {
+	return r.run(n, adv, goal, r.budget(n), nil)
+}
+
+// run is the package's one round loop, shared by every driver: it resets
+// the pooled engine to n processes and steps adv until the goal holds,
+// calling observe (when non-nil) after each round. It returns the rounds
+// applied, with an error wrapping ErrMaxRounds once maxRounds rounds have
+// not reached the goal, or ErrBadTree when adv returns an unusable tree.
+func (r *Runner) run(n int, adv Adversary, goal Goal, maxRounds int, observe func(round int, t *tree.Tree, e *Engine)) (int, error) {
 	e := r.reset(n)
-	maxRounds := r.budget(n)
-	done := func() bool {
-		if goal == Gossip {
-			return e.GossipDone()
-		}
-		return e.BroadcastDone()
-	}
-	for !done() {
+	for !e.done(goal) {
 		if e.round >= maxRounds {
 			return e.round, fmt.Errorf("%w: %s incomplete after %d rounds (n=%d)",
 				ErrMaxRounds, goal, e.round, n)
@@ -71,6 +73,9 @@ func (r *Runner) Run(n int, adv Adversary, goal Goal) (int, error) {
 			return e.round, fmt.Errorf("%w: round %d", ErrBadTree, e.round+1)
 		}
 		e.Step(t)
+		if observe != nil {
+			observe(e.round, t, e)
+		}
 	}
 	return e.round, nil
 }
@@ -89,26 +94,14 @@ func (r *Runner) GossipTime(n int, adv Adversary) (int, error) {
 }
 
 // BothTimes runs adv once toward gossip completion and reports the round
-// at which broadcast completed and the round at which gossip completed —
-// the Runner form of gossip.BothTimes (broadcast is −1 if it never
-// completed within the budget).
+// at which broadcast completed and the round at which gossip completed
+// (broadcast is −1 if it never completed within the budget).
 func (r *Runner) BothTimes(n int, adv Adversary) (broadcast, gossip int, err error) {
-	e := r.reset(n)
-	maxRounds := r.budget(n)
 	broadcast = -1
-	for !e.GossipDone() {
-		if e.round >= maxRounds {
-			return broadcast, e.round, fmt.Errorf("%w: %s incomplete after %d rounds (n=%d)",
-				ErrMaxRounds, Gossip, e.round, n)
-		}
-		t := adv.Next(e)
-		if t == nil || t.N() != n {
-			return broadcast, e.round, fmt.Errorf("%w: round %d", ErrBadTree, e.round+1)
-		}
-		e.Step(t)
+	gossip, err = r.run(n, adv, Gossip, r.budget(n), func(round int, _ *tree.Tree, e *Engine) {
 		if broadcast < 0 && e.BroadcastDone() {
-			broadcast = e.round
+			broadcast = round
 		}
-	}
-	return broadcast, e.round, nil
+	})
+	return broadcast, gossip, err
 }

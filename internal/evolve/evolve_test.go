@@ -11,7 +11,6 @@ import (
 	"dyntreecast/internal/campaign"
 	"dyntreecast/internal/campaign/cache"
 	"dyntreecast/internal/core"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -172,14 +171,14 @@ func registerKnobs(t *testing.T) {
 			{Name: "flip", Kind: campaign.BoolParam, Default: false, Doc: "bool knob"},
 			{Name: "k", Kind: campaign.IntParam, Doc: "required int knob"},
 		},
-		New: func(n int, p campaign.Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Func(func(v core.View) *tree.Tree {
+		NewReusable: func(n int, p campaign.Params) (campaign.ReusableAdversary, error) {
+			return adversary.Stateless{Adversary: adversary.Func(func(v core.View) *tree.Tree {
 				s, err := tree.Star(v.N(), 0)
 				if err != nil {
 					return nil
 				}
 				return s
-			}), nil
+			})}, nil
 		},
 	})
 	if err != nil {
@@ -228,15 +227,17 @@ func TestRunCustomFamilyMutationsAndLog(t *testing.T) {
 // TestRunRequiredStringParamUnseedable: a family whose required param has
 // no numeric seed cannot enter generation 0 — a clear error, not a panic.
 func TestRunRequiredStringParamUnseedable(t *testing.T) {
-	err := campaign.Register(campaign.Family{
-		Name:   "t-evolve-reqstr",
-		Params: []campaign.Param{{Name: "mode", Kind: campaign.StringParam, Doc: "required string"}},
-		New: func(n int, p campaign.Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Func(func(v core.View) *tree.Tree { return nil }), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := familyRegistered("t-evolve-reqstr"); !ok { // once per process
+		err := campaign.Register(campaign.Family{
+			Name:   "t-evolve-reqstr",
+			Params: []campaign.Param{{Name: "mode", Kind: campaign.StringParam, Doc: "required string"}},
+			NewReusable: func(n int, p campaign.Params) (campaign.ReusableAdversary, error) {
+				return adversary.Stateless{Adversary: adversary.Func(func(v core.View) *tree.Tree { return nil })}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	opts := baseOptions()
 	opts.Families = []string{"t-evolve-reqstr"}

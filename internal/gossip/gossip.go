@@ -28,9 +28,8 @@ import (
 // core.ErrMaxRounds.
 //
 // Time allocates a fresh engine per call; hot loops (the batched campaign
-// pipeline, experiment trial fans) run the same computation on a pooled
-// core.Runner via Runner.GossipTime / Runner.BothTimes instead, which is
-// round-for-round and error-for-error identical.
+// pipeline, experiment trial fans) run the same round loop on a pooled
+// core.Runner via Runner.GossipTime / Runner.BothTimes instead.
 func Time(n int, adv core.Adversary, opts ...core.Option) (int, error) {
 	res, err := core.Run(n, adv, core.Gossip, opts...)
 	return res.Rounds, err
@@ -47,10 +46,7 @@ func BothTimes(n int, adv core.Adversary, opts ...core.Option) (broadcast, gossi
 		}
 	}))
 	res, err := core.Run(n, adv, core.Gossip, opts...)
-	if err != nil {
-		return broadcast, res.Rounds, err
-	}
-	return broadcast, res.Rounds, nil
+	return broadcast, res.Rounds, err
 }
 
 // Staller is the adversary that stalls gossip forever on any n >= 2: it

@@ -148,28 +148,34 @@ func TestCacheCountersMatchWarmRun(t *testing.T) {
 	series := func(result string) string {
 		return fmt.Sprintf(`campaign_cache_requests_total{backend=%q,result=%q}`, backend, result)
 	}
+	puts := fmt.Sprintf(`campaign_cache_puts_total{backend=%q}`, backend)
+	// The registry is process-global, so under -count > 1 the series
+	// carry earlier iterations' traffic: compare deltas from a baseline.
+	base := scrape(t, ts)
+	delta := func(exposition, series string) float64 {
+		return sampleValue(t, exposition, series) - sampleValue(t, base, series)
+	}
 
 	id, _ := submit(t, ts, specJSON)
 	waitDone(t, ts, id)
 	cold := scrape(t, ts)
-	if got := sampleValue(t, cold, series("miss")); got != cells {
+	if got := delta(cold, series("miss")); got != cells {
 		t.Errorf("cold run misses = %v, want %d", got, cells)
 	}
-	if got := sampleValue(t, cold, series("hit")); got != 0 {
+	if got := delta(cold, series("hit")); got != 0 {
 		t.Errorf("cold run hits = %v, want 0", got)
 	}
-	puts := fmt.Sprintf(`campaign_cache_puts_total{backend=%q}`, backend)
-	if got := sampleValue(t, cold, puts); got != cells {
+	if got := delta(cold, puts); got != cells {
 		t.Errorf("cold run puts = %v, want %d", got, cells)
 	}
 
 	id2, _ := submit(t, ts, specJSON)
 	waitDone(t, ts, id2)
 	warm := scrape(t, ts)
-	if got := sampleValue(t, warm, series("hit")); got != cells {
+	if got := delta(warm, series("hit")); got != cells {
 		t.Errorf("warm run hits = %v, want %d", got, cells)
 	}
-	if got := sampleValue(t, warm, series("miss")); got != cells {
+	if got := delta(warm, series("miss")); got != cells {
 		t.Errorf("warm run misses = %v, want %d (cold only)", got, cells)
 	}
 }

@@ -33,10 +33,23 @@ import (
 // mountResults registers the warehouse endpoints; called by New only
 // when a store is configured.
 func (s *Server) mountResults(mux *http.ServeMux) {
-	mux.HandleFunc("GET /results", s.handleResults)
-	mux.HandleFunc("GET /results/campaigns", s.handleResultCampaigns)
-	mux.HandleFunc("GET /results/diff", s.handleResultsDiff)
-	mux.HandleFunc("GET /results/curves", s.handleResultsCurves)
+	mux.HandleFunc("GET /results", s.afterIngests(s.handleResults))
+	mux.HandleFunc("GET /results/campaigns", s.afterIngests(s.handleResultCampaigns))
+	mux.HandleFunc("GET /results/diff", s.afterIngests(s.handleResultsDiff))
+	mux.HandleFunc("GET /results/curves", s.afterIngests(s.handleResultsCurves))
+}
+
+// afterIngests makes a /results handler wait, bounded by the request's
+// context, until every ingest announced on the warehouse has finished. A
+// campaign reports done before its auto-ingest lands, so without the
+// wait a client that saw "done" could query before its cells are there.
+func (s *Server) afterIngests(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if s.opts.Store.AwaitIngests(req.Context()) != nil {
+			return // the client is gone
+		}
+		h(w, req)
+	}
 }
 
 // intParam parses an optional non-negative integer query parameter,

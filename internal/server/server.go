@@ -318,6 +318,11 @@ func (s *Server) execute(r *run) {
 		}
 	}
 	outcome, err := campaign.RunSpec(s.ctx, r.spec, cfg)
+	if err == nil && s.opts.Store != nil {
+		// Announced before the run reports done, so a client that sees
+		// "done" and then queries /results waits for this ingest.
+		defer s.opts.Store.BeginIngest()()
+	}
 	r.finish(outcome, err)
 	if err == nil {
 		s.ingestOutcome(r.id, outcome)

@@ -30,6 +30,7 @@ package store
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -97,6 +98,7 @@ type manifest struct {
 type Store struct {
 	root  string
 	cells *cache.Dir
+	gate  *ingestGate // this directory's announced ingests (ingestgate.go)
 
 	mu        sync.RWMutex
 	manifests map[string]*manifest
@@ -111,10 +113,13 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the warehouse rooted at dir and
-// rebuilds the index from its manifests. Unreadable or foreign manifest
-// files are an error — a warehouse with half an index would silently
-// misanswer queries.
+// rebuilds the index from its manifests, after any ingest announced on
+// dir in this process (BeginIngest) has finished. Unreadable or foreign
+// manifest files are an error — a warehouse with half an index would
+// silently misanswer queries.
 func Open(dir string) (*Store, error) {
+	gate := gateFor(dir)
+	gate.wait(context.Background())
 	cells, err := cache.NewDir(filepath.Join(dir, "cells"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -128,6 +133,7 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		root:      dir,
 		cells:     cells,
+		gate:      gate,
 		manifests: make(map[string]*manifest),
 		pins:      make(map[string]bool),
 		exactVals: make(map[int]int),

@@ -40,7 +40,7 @@ func (b *Buf) Tree() *Tree { return &b.t }
 // Grow returns *p resized to length n, reallocating only when the
 // capacity is insufficient. Contents are unspecified. It is the scratch
 // growth policy of the whole in-place pipeline — the generators here and
-// the reusable adversaries share it, so a change to the policy (e.g.
+// the adversaries' pooled scratch share it, so a change to the policy (e.g.
 // amortized doubling) lands everywhere at once.
 func Grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {

@@ -199,7 +199,7 @@ func TestBufOrderNeverStale(t *testing.T) {
 		tr := s.gen()
 		t.Run(s.name, func(t *testing.T) { checkChildBeforeParent(t, tr) })
 		// The detached copy keeps its own order once the Buf moves on.
-		keep := tr.detached()
+		keep := tr.Clone()
 		RandomInto(&b, 50, src)
 		checkChildBeforeParent(t, keep)
 	}

@@ -528,11 +528,11 @@ func FromPrufer(seq []int, n, root int) (*Tree, error) {
 		}
 	}
 	// The decoding itself lives in Buf.decodePrufer (into.go), shared with
-	// the in-place generators so the two paths cannot drift; detached so
+	// the in-place generators so the two paths cannot drift; cloned so
 	// the returned tree doesn't pin the decoder's scratch.
 	var b Buf
 	b.decodePrufer(seq, n, root)
-	return b.t.detached(), nil
+	return b.t.Clone(), nil
 }
 
 // Prufer encodes the tree's underlying unrooted labeled tree as a Prüfer
@@ -588,11 +588,12 @@ func (t *Tree) Prufer() []int {
 	return seq
 }
 
-// detached returns a copy of t, its child-first order included, backed
-// by exactly-sized private storage. The allocating generator wrappers
-// return detached trees so a retained Tree never pins its generating
-// Buf's O(n) scratch slices.
-func (t *Tree) detached() *Tree {
+// Clone returns an independent copy of t, its child-first order included,
+// backed by exactly-sized private storage. It is how a caller keeps a tree
+// an adversary built in reusable buffers past that adversary's next round
+// (see core.Adversary), and the allocating generator wrappers return
+// clones so a retained Tree never pins its generating Buf's O(n) scratch.
+func (t *Tree) Clone() *Tree {
 	n := len(t.parent)
 	s := make([]int, 2*n)
 	copy(s, t.parent)
@@ -605,14 +606,14 @@ func (t *Tree) detached() *Tree {
 // trees with equal probability. Thin wrapper over RandomInto (into.go).
 func Random(n int, src *rng.Source) *Tree {
 	var b Buf
-	return RandomInto(&b, n, src).detached()
+	return RandomInto(&b, n, src).Clone()
 }
 
 // RandomPath returns a directed path through a uniform random permutation.
 // Thin wrapper over RandomPathInto (into.go).
 func RandomPath(n int, src *rng.Source) *Tree {
 	var b Buf
-	return RandomPathInto(&b, n, src).detached()
+	return RandomPathInto(&b, n, src).Clone()
 }
 
 // Enumerate calls fn once for every rooted labeled tree on n vertices, in a
@@ -633,7 +634,7 @@ func Enumerate(n int, fn func(*Tree) bool) {
 	for {
 		for root := 0; root < n; root++ {
 			b.decodePrufer(seq, n, root)
-			if !fn(b.t.detached()) {
+			if !fn(b.t.Clone()) {
 				return
 			}
 		}
@@ -682,7 +683,7 @@ func RandomWithLeaves(n, k int, src *rng.Source) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.detached(), nil
+	return t.Clone(), nil
 }
 
 // RandomWithInner returns a random rooted tree on n vertices with exactly m
@@ -694,5 +695,5 @@ func RandomWithInner(n, m int, src *rng.Source) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.detached(), nil
+	return t.Clone(), nil
 }
