@@ -21,33 +21,94 @@ type CellStats struct {
 // output is independent of execution order. Failed and skipped jobs
 // contribute nothing.
 func Aggregate(results []JobResult) []CellStats {
-	byCell := map[string][]float64{}
-	var order []string
+	var p pool
 	for _, r := range results {
 		if r.Err != nil || r.Skipped {
 			continue
 		}
 		for _, m := range r.Measurements {
-			if _, seen := byCell[m.Cell]; !seen {
-				order = append(order, m.Cell)
-			}
-			byCell[m.Cell] = append(byCell[m.Cell], m.Value)
+			p.add(m.Cell, m.Value)
 		}
 	}
-	out := make([]CellStats, 0, len(order))
-	for _, cell := range order {
-		xs := byCell[cell]
-		s := stats.Summarize(xs)
-		out = append(out, CellStats{
-			Cell:   cell,
-			Count:  s.Count,
-			Mean:   s.Mean,
-			StdDev: s.StdDev,
-			Min:    s.Min,
-			Max:    s.Max,
-			P50:    stats.Percentile(xs, 50),
-			P99:    stats.Percentile(xs, 99),
-		})
+	return p.stats()
+}
+
+// CellStatsOf summarizes one cell's values, given in observation order:
+// the numbers Aggregate reports for a cell that pooled exactly xs.
+func CellStatsOf(cell string, xs []float64) CellStats {
+	sorted := stats.Sorted(xs)
+	s := stats.SummarizeSorted(xs, sorted)
+	return CellStats{
+		Cell:   cell,
+		Count:  s.Count,
+		Mean:   s.Mean,
+		StdDev: s.StdDev,
+		Min:    s.Min,
+		Max:    s.Max,
+		P50:    stats.PercentileSorted(sorted, 50),
+		P99:    stats.PercentileSorted(sorted, 99),
+	}
+}
+
+// pool gathers measurement values by cell, in observation order, and
+// reports the cells in first-appearance order.
+type pool struct {
+	at    map[string]int // cell → its index in cells and xs
+	cells []string
+	xs    [][]float64
+}
+
+// slot returns the index of cell, registering it on first sight.
+func (p *pool) slot(cell string) int {
+	if n := len(p.cells); n > 0 && p.cells[n-1] == cell {
+		return n - 1 // the newest cell again: the common run of one cell
+	}
+	i, ok := p.at[cell]
+	if !ok {
+		if p.at == nil {
+			p.at = make(map[string]int)
+		}
+		i = len(p.cells)
+		p.at[cell] = i
+		p.cells = append(p.cells, cell)
+		p.xs = append(p.xs, nil)
+	}
+	return i
+}
+
+// add pools one value.
+func (p *pool) add(cell string, v float64) {
+	i := p.slot(cell)
+	p.xs[i] = append(p.xs[i], v)
+}
+
+// addEntry pools every measurement of a decoded cache entry. When all of
+// them name the entry's cell, the values join the pool as one slice,
+// shared with the entry while the cell holds nothing else: capped at
+// its length, it is copied before any later value lands.
+func (p *pool) addEntry(e *CellEntry) {
+	if e.names != nil {
+		for j, v := range e.values {
+			p.add(e.names[j], v)
+		}
+		return
+	}
+	if len(e.values) == 0 {
+		return
+	}
+	i := p.slot(e.Cell)
+	if p.xs[i] == nil {
+		p.xs[i] = e.values[:len(e.values):len(e.values)]
+		return
+	}
+	p.xs[i] = append(p.xs[i], e.values...)
+}
+
+// stats summarizes every pooled cell.
+func (p *pool) stats() []CellStats {
+	out := make([]CellStats, len(p.cells))
+	for i, cell := range p.cells {
+		out[i] = CellStatsOf(cell, p.xs[i])
 	}
 	return out
 }

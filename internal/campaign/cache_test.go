@@ -37,6 +37,31 @@ func TestCacheWarmRunRecomputesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmRunCostFollowsCells pins the warm path's cost model: a cached
+// grid is served per cell — one read, one decode, one pooled slice — so
+// a warm run at 1,000 trials per cell allocates within a small constant
+// of the same grid at 10 trials per cell.
+func TestWarmRunCostFollowsCells(t *testing.T) {
+	allocs := func(trials int) float64 {
+		spec := Spec{Adversaries: []string{"random-path", "random-tree"}, Ns: []int{8, 16}, Trials: trials, Seed: 3}
+		c := cache.NewMemory()
+		if _, err := RunSpec(context.Background(), spec, Config{Cache: c}); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			out, err := RunSpec(context.Background(), spec, Config{Workers: 1, Cache: c})
+			if err != nil || out.CacheHits != out.Jobs {
+				t.Fatalf("warm run at %d trials: err %v, %d of %d jobs from the cache", trials, err, out.CacheHits, out.Jobs)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	t.Logf("warm run allocations: %.0f at 10 trials per cell, %.0f at 1000", small, large)
+	if large > small+8 {
+		t.Errorf("warm run allocates %.0f times at 1000 trials per cell, %.0f at 10: cost grows with trials", large, small)
+	}
+}
+
 // TestCacheOverlappingGridRecomputesOnlyNewCells is the content-addressing
 // guarantee: growing a grid recomputes only the genuinely new cells, and
 // the enlarged campaign's artifact is byte-identical to a cache-free run.

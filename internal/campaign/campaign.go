@@ -80,7 +80,7 @@ type Measurement struct {
 // observed in index order, batching is invisible in the output:
 // artifacts are byte-identical for every batch size and worker count.
 type Job struct {
-	Index int         // position in compile order; doubles as the result slot
+	Index int         // position in compile order; keys Config.Completed and JobResult.Index
 	Cell  string      // aggregation cell (set by Spec.Compile; "" for ad-hoc jobs)
 	Src   *rng.Source // private generator, pre-split at compile time
 	// Run executes the job from src on the worker's Arena. Jobs that do
@@ -194,11 +194,11 @@ type Config struct {
 }
 
 // Run executes jobs on a worker pool and returns one JobResult per job, in
-// job-index order. Job-level errors are recorded in the results (join them
-// with JoinErrors if the caller wants all-or-nothing semantics); the
-// returned error is non-nil only when ctx was cancelled, in which case the
-// results for jobs that did complete are still returned and the rest are
-// marked Skipped.
+// job order, each carrying its job's Index. Job-level errors are recorded
+// in the results (join them with JoinErrors if the caller wants
+// all-or-nothing semantics); the returned error is non-nil only when ctx
+// was cancelled, in which case the results for jobs that did complete
+// are still returned and the rest are marked Skipped.
 func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 	results, reused := initResults(jobs, cfg.Completed)
 	if len(jobs) == 0 {
@@ -240,7 +240,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 						continue
 					}
 					ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
-					results[idx] = JobResult{Index: idx, Measurements: ms, Err: err}
+					results[idx] = JobResult{Index: jobs[idx].Index, Measurements: ms, Err: err}
 					countJob(err)
 					if cfg.Progress != nil || cfg.OnResult != nil {
 						mu.Lock()
@@ -291,22 +291,22 @@ feed:
 }
 
 // initResults builds the result slice every execution path starts from:
-// one Skipped placeholder per job, with in-range completed results
-// spliced in (Index and Skipped normalized) and counted. Shared by Run
-// and runRemote so the reuse semantics cannot drift between the local
-// and distributed paths.
+// one Skipped placeholder per job, carrying the job's Index, with the
+// completed results of those indexes spliced in (Index and Skipped
+// normalized) and counted. Shared by Run and runRemote so the reuse
+// semantics cannot drift between the local and distributed paths.
 func initResults(jobs []Job, completed map[int]JobResult) ([]JobResult, int) {
 	results := make([]JobResult, len(jobs))
-	for i := range results {
-		results[i] = JobResult{Index: i, Skipped: true}
-	}
 	reused := 0
-	for idx, r := range completed {
-		if idx < 0 || idx >= len(jobs) {
+	for i := range jobs {
+		idx := jobs[i].Index
+		r, ok := completed[idx]
+		if !ok {
+			results[i] = JobResult{Index: idx, Skipped: true}
 			continue
 		}
 		r.Index, r.Skipped = idx, false
-		results[idx] = r
+		results[i] = r
 		reused++
 	}
 	return results, reused

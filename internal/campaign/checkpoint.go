@@ -177,8 +177,7 @@ type CheckpointWriter struct {
 }
 
 // NewCheckpointWriter starts a fresh checkpoint for spec on w, writing
-// the header immediately. jobs is the compiled job count (len of
-// Spec.Compile's result).
+// the header immediately. jobs is the spec's job count (Spec.JobCount).
 func NewCheckpointWriter(w io.Writer, spec Spec, jobs int) (*CheckpointWriter, error) {
 	cw := &CheckpointWriter{buf: bufio.NewWriter(w)}
 	hdr := checkpointHeader{Format: checkpointFormat, Engine: EngineVersion, SpecHash: SpecHash(spec), Jobs: jobs}
@@ -246,7 +245,7 @@ type CheckpointFile struct {
 // non-empty file must be a checkpoint of this exact spec — a mismatch is
 // an error, not silent truncation of someone else's work.
 func OpenCheckpointFile(path string, spec Spec) (*CheckpointFile, error) {
-	jobs, err := spec.jobCount()
+	jobs, err := spec.JobCount()
 	if err != nil {
 		return nil, err
 	}

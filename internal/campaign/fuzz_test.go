@@ -3,7 +3,9 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -110,6 +112,72 @@ func FuzzCheckpointLoad(f *testing.F) {
 		// The resume entry point must consume whatever the loader accepts.
 		if got := cp.Completed(); len(got) != len(cp.Results) {
 			t.Fatalf("Completed() lost records: %d of %d", len(got), len(cp.Results))
+		}
+	})
+}
+
+// FuzzCellEntry fuzzes the cell-cache entry decoder, the untrusted
+// decode path behind every warm cache read and every warehouse ingest.
+// Pinned property: on any bytes, DecodeCellEntry accepts exactly when
+// json.Unmarshal into the entry shape does, and then yields the same
+// cell name, trial count, and per-trial measurement names and values
+// (compared bit for bit, so -0 and 0 differ).
+func FuzzCellEntry(f *testing.F) {
+	entry := func(cell string, trials ...[]Measurement) []byte {
+		data, err := encodeCellEntry(cell, trials)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	whole := entry("random-tree/n=8", []Measurement{{"random-tree/n=8", 7}}, []Measurement{{"random-tree/n=8", 9}})
+	f.Add(whole)
+	f.Add(whole[:len(whole)-5]) // torn
+	f.Add(append(whole[:len(whole):len(whole)], "]}"...))
+	f.Add(entry("k<&>/n=8", []Measurement{{"k<&>/n=8", 3}}))
+	f.Add(entry("e", []Measurement{{"e", 1}, {"f", 2.5}}, nil, []Measurement{}, []Measurement{{"e", -0.125}}))
+	f.Add([]byte(`{"Cell":"x","trials":[[{"VALUE":1e2,"cell":"x"}]],"extra":true}`))
+	f.Add([]byte(`{"cell":"x","trials":[[{"cell":"x","value":1e400}]]}`))
+	f.Add([]byte(`{"cell":"x","trials":[[{"cell":"x","value":01}]]}`))
+	f.Add([]byte(`{"cell":"x","trials":[[{"cell":"x","value":1.5}],[{"cell":"x","value":-0}],[{"cell":"x","value":2e3}]]}`))
+	f.Add([]byte(`{"cell":"x","trials":[[{"cell":"x","value":9999999999999999}],[{"cell":"x","value":123456789012345678901}]]}`))
+	f.Add([]byte(` {"cell":"xé","trials":null} `))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeCellEntry(data)
+		var want cellEntry
+		werr := json.Unmarshal(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decoder err %v, json.Unmarshal err %v\ninput %q", err, werr, data)
+		}
+		if err != nil {
+			return
+		}
+		if got.Cell != want.Cell || got.Trials() != len(want.Trials) {
+			t.Fatalf("decoded cell %q with %d trials, json.Unmarshal %q with %d\ninput %q",
+				got.Cell, got.Trials(), want.Cell, len(want.Trials), data)
+		}
+		var ms []Measurement
+		var own []float64
+		for i, trial := range want.Trials {
+			ms = got.trial(i, ms[:0])
+			if len(ms) != len(trial) {
+				t.Fatalf("trial %d: %d measurements, json.Unmarshal %d\ninput %q", i, len(ms), len(trial), data)
+			}
+			for j, m := range trial {
+				if ms[j].Cell != m.Cell || math.Float64bits(ms[j].Value) != math.Float64bits(m.Value) {
+					t.Fatalf("trial %d measurement %d: %+v, json.Unmarshal %+v\ninput %q", i, j, ms[j], m, data)
+				}
+				if m.Cell == want.Cell {
+					own = append(own, m.Value)
+				}
+			}
+		}
+		if vs := got.Values(want.Cell); !slices.EqualFunc(vs, own, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("Values(%q) = %v, want %v\ninput %q", want.Cell, vs, own, data)
 		}
 	})
 }

@@ -93,12 +93,12 @@ type RemoteSession interface {
 }
 
 // CellJobs returns the spec's feasible grid cells as self-contained
-// remote work units, in compile order. This is the distribution-side view
-// of Compile: each job's single-cell Spec compiles (anywhere) to the
-// cell's exact trial streams, and Key is the same content address the
-// cell cache uses.
+// remote work units, in compile order, without building any job. This
+// is the distribution-side view of Compile: each job's single-cell Spec
+// compiles (anywhere) to the cell's exact trial streams, and Key is the
+// same content address the cell cache uses.
 func (s *Spec) CellJobs() ([]CellJob, error) {
-	_, cells, canon, err := s.compile()
+	canon, cells, _, err := s.plan()
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func cellJob(canon Spec, c cellPlan) CellJob {
 	return CellJob{
 		Cell:   c.Cell,
 		Key:    c.Key,
-		Trials: len(c.JobIdx),
+		Trials: c.Trials,
 		Spec: Spec{
 			Version:   SpecVersion,
 			Scenarios: []Scenario{c.Scenario},
@@ -135,28 +135,30 @@ func cellJob(canon Spec, c cellPlan) CellJob {
 // ShardBounds' lo..hi-1) — the worker side of the cluster protocol. The
 // job's spec is compiled locally and checked against the job's content
 // address (the handshake that catches engine drift beyond the version
-// string); the cell's jobs are compiled whole and the shard's sub-range
+// string); the cell's jobs are built whole and the shard's sub-range
 // executed, so trial lo sees exactly the pre-split stream it would in a
 // whole-cell run. Any trial error fails the whole shard, because partial
 // shards are never pushed — the coordinator re-queues failed leases and
 // the deterministic error surfaces through the local pool instead.
 func ExecuteCellJob(ctx context.Context, job CellJob) ([][]Measurement, error) {
-	jobs, cells, _, err := job.Spec.compile()
+	canon, cells, _, err := job.Spec.plan()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", job.Cell, err)
 	}
-	if len(cells) != 1 || len(jobs) != len(cells[0].JobIdx) {
+	if len(cells) != 1 {
 		return nil, fmt.Errorf("campaign: cell %s: spec compiles to %d cells, want exactly 1", job.Cell, len(cells))
 	}
-	if cells[0].Key != job.Key {
+	c := &cells[0]
+	if c.Key != job.Key {
 		return nil, fmt.Errorf("campaign: cell %s: content address mismatch (lease %.12s, computed %.12s)",
-			job.Cell, job.Key, cells[0].Key)
+			job.Cell, job.Key, c.Key)
 	}
 	lo, hi := job.ShardBounds()
-	if lo < 0 || hi > len(jobs) || lo >= hi {
+	if lo < 0 || hi > c.Trials || lo >= hi {
 		return nil, fmt.Errorf("campaign: cell %s: trial range [%d,%d) outside the cell's %d trials",
-			job.Cell, lo, hi, len(jobs))
+			job.Cell, lo, hi, c.Trials)
 	}
+	jobs := c.appendJobs(&canon, make([]Job, 0, c.Trials))
 	results, err := Run(ctx, jobs[lo:hi], Config{Workers: 1})
 	if err != nil {
 		return nil, err
@@ -172,40 +174,46 @@ func ExecuteCellJob(ctx context.Context, job CellJob) ([][]Measurement, error) {
 }
 
 // remoteCell is one distributable cell, keyed by content address: every
-// compiled plan sharing the address (duplicate grid cells have identical
-// streams) plus, per plan, which trial positions are not already covered
-// by the checkpoint or cache. Indexing by trial position — not job index
-// — is what lets shard deliveries, which cover disjoint [lo, hi) trial
-// ranges in arbitrary order, splice independently.
+// planned cell sharing the address (duplicate grid cells have identical
+// streams) with the position of its first job in the run's job list,
+// plus, per plan, which trial positions are not already covered by the
+// checkpoint. Indexing by trial position is what lets shard deliveries,
+// which cover disjoint [lo, hi) trial ranges in arbitrary order, splice
+// independently.
 type remoteCell struct {
 	plans  []cellPlan
+	pos    []int    // parallel to plans: job-list position of trial 0
 	needed [][]bool // parallel to plans, indexed by trial position
 }
 
-// runRemote is RunSpec's execution path when Config.Remote is set: cells
-// not already satisfied by the checkpoint or cache are offered to the
-// remote scheduler while cfg.Workers local workers claim and execute the
-// rest, shard by shard, on pooled arenas. Results land in the
-// job-indexed slice whichever side computes them, so the aggregated
-// outcome is byte-identical to a purely local run — remote workers (and
-// their failures) can only move wall-clock time, and so can the shard
-// size, because every trial's stream was pre-split at compile time.
+// runRemote is RunSpec's execution path when Config.Remote is set: the
+// cells RunSpec could not read from the checkpoint or cache are offered
+// to the remote scheduler while cfg.Workers local workers claim and
+// execute the rest, shard by shard, on pooled arenas. jobs holds every
+// cell's jobs back to back, in cells order. Results land in the job's
+// slot whichever side computes them, so the aggregated outcome is
+// byte-identical to a purely local run — remote workers (and their
+// failures) can only move wall-clock time, and so can the shard size,
+// because every trial's stream was pre-split when its job was built.
 func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cfg Config) ([]JobResult, error) {
 	results, reused := initResults(jobs, cfg.Completed)
 
-	// Cells with at least one job not covered by the checkpoint/cache are
-	// the distributable work, grouped by content address: a grid that
-	// lists the same cell twice (ns: [8, 8]) compiles to two plans with
-	// one address and identical streams, so one execution — local or
-	// remote — must splice into every plan sharing the key, and the
-	// scheduler must see the key exactly once.
+	// Cells with at least one job not covered by the checkpoint are the
+	// distributable work, grouped by content address: a grid that lists
+	// the same cell twice (ns: [8, 8]) plans two cells with one address
+	// and identical streams, so one execution — local or remote — must
+	// splice into every plan sharing the key, and the scheduler must see
+	// the key exactly once.
 	work := make(map[string]*remoteCell, len(cells))
 	var cellJobs []CellJob
+	at := 0
 	for _, c := range cells {
-		needed := make([]bool, len(c.JobIdx))
+		first := at
+		at += c.Trials
+		needed := make([]bool, c.Trials)
 		any := false
-		for ti, idx := range c.JobIdx {
-			if results[idx].Skipped {
+		for ti := range needed {
+			if results[first+ti].Skipped {
 				needed[ti], any = true, true
 			}
 		}
@@ -219,6 +227,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 			cellJobs = append(cellJobs, cellJob(canon, c))
 		}
 		rc.plans = append(rc.plans, c)
+		rc.pos = append(rc.pos, first)
 		rc.needed = append(rc.needed, needed)
 	}
 	if len(cellJobs) == 0 {
@@ -230,18 +239,18 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 		done   = reused
 		closed bool
 	)
-	// fire splices one shard's fresh results and runs the callbacks, in
-	// job-index (trial) order. After close (cancellation teardown) late
-	// remote deliveries are dropped so nothing touches the results slice
-	// once runRemote returned it.
-	fire := func(rs []JobResult) {
+	// fire splices one shard's fresh results — rs[k] into job-list
+	// position at[k] — and runs the callbacks, in trial order. After
+	// close (cancellation teardown) late remote deliveries are dropped so
+	// nothing touches the results slice once runRemote returned it.
+	fire := func(at []int, rs []JobResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		if closed {
 			return
 		}
-		for _, r := range rs {
-			results[r.Index] = r
+		for k, r := range rs {
+			results[at[k]] = r
 			countJob(r.Err)
 			if cfg.OnResult != nil {
 				cfg.OnResult(r)
@@ -257,9 +266,10 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 		if !ok {
 			return
 		}
+		var at []int
 		var rs []JobResult
 		for pi, plan := range rc.plans {
-			need := rc.needed[pi]
+			need, first := rc.needed[pi], rc.pos[pi]
 			if lo < 0 || hi > len(need) || lo > hi || len(trials) != hi-lo {
 				// The Remote contract (and the coordinator's result
 				// validation) guarantee a shard inside the cell carrying
@@ -271,7 +281,8 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 					len(trials), plan.Cell, lo, hi, len(need))
 				for ti := max(lo, 0); ti < min(hi, len(need)); ti++ {
 					if need[ti] {
-						rs = append(rs, JobResult{Index: plan.JobIdx[ti], Err: err})
+						at = append(at, first+ti)
+						rs = append(rs, JobResult{Index: jobs[first+ti].Index, Err: err})
 					}
 				}
 				continue
@@ -281,11 +292,12 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 			// checkpoint or cache already covered are simply discarded.
 			for ti := lo; ti < hi; ti++ {
 				if need[ti] {
-					rs = append(rs, JobResult{Index: plan.JobIdx[ti], Measurements: trials[ti-lo]})
+					at = append(at, first+ti)
+					rs = append(rs, JobResult{Index: jobs[first+ti].Index, Measurements: trials[ti-lo]})
 				}
 			}
 		}
-		fire(rs)
+		fire(at, rs)
 	}
 
 	session := cfg.Remote.Open(cellJobs, deliver)
@@ -323,10 +335,10 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 				arena.Runner.MaxRounds = 0
 				mBatchTrials.Observe(float64(hi - lo))
 				rc := work[job.Key]
+				var at []int
 				var rs []JobResult
 				cancelled := false
-				for pi, plan := range rc.plans {
-					need := rc.needed[pi]
+				for pi, need := range rc.needed {
 					for ti := lo; ti < hi && ti < len(need); ti++ {
 						if !need[ti] {
 							continue
@@ -335,9 +347,10 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 							cancelled = true
 							break
 						}
-						idx := plan.JobIdx[ti]
-						ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
-						rs = append(rs, JobResult{Index: idx, Measurements: ms, Err: err})
+						p := rc.pos[pi] + ti
+						ms, err := jobs[p].Run(ctx, jobs[p].Src, arena)
+						at = append(at, p)
+						rs = append(rs, JobResult{Index: jobs[p].Index, Measurements: ms, Err: err})
 					}
 				}
 				if cancelled {
@@ -346,7 +359,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 					return
 				}
 				if session.CompleteLocal(job.Key, lo, hi) {
-					fire(rs)
+					fire(at, rs)
 				}
 			}
 		}()

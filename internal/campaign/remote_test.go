@@ -391,7 +391,7 @@ func TestCellJobsSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cells, _, err := spec.compile()
+	_, cells, _, err := spec.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestCellJobsSelfContained(t *testing.T) {
 		t.Fatalf("CellJobs returned %d jobs for %d cells", len(cellJobs), len(cells))
 	}
 	for i, j := range cellJobs {
-		if j.Key != cells[i].Key || j.Cell != cells[i].Cell || j.Trials != len(cells[i].JobIdx) {
+		if j.Key != cells[i].Key || j.Cell != cells[i].Cell || j.Trials != cells[i].Trials {
 			t.Errorf("cell job %d = %+v does not match plan %+v", i, j, cells[i])
 		}
 		trials, err := ExecuteCellJob(context.Background(), j)

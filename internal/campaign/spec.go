@@ -244,16 +244,20 @@ func (s *Spec) cellCacheKey(g groundScenario, n int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cellPlan records one grid cell of a compiled spec: its coordinates, its
-// cache key, and the indexes of its jobs in trial order. Scenario and N
-// are the cell's canonical coordinates, kept so the remote layer can
-// rebuild the cell as a self-contained single-cell spec (see cellJob).
+// cellPlan records one grid cell of a planned spec: its coordinates, its
+// content address, and where its jobs sit in the spec's job order.
+// Planning allocates nothing per trial; a cell's jobs are built
+// (appendJobs) only when the cell is to run. Scenario and N are the
+// cell's canonical coordinates, kept so the remote layer can rebuild the
+// cell as a self-contained single-cell spec (see cellJob).
 type cellPlan struct {
 	Cell     string   // display key (groundScenario.cellName)
 	Key      string   // content address (cellCacheKey)
 	Scenario Scenario // canonical ground scenario of the cell
 	N        int      // the cell's n coordinate
-	JobIdx   []int    // job indexes, one per trial, in trial order
+	First    int      // job index of the cell's first trial
+	Trials   int      // trial count: the cell's jobs are First..First+Trials-1
+	ground   groundScenario
 }
 
 // Compile validates the spec and expands its grid into jobs. The grid is
@@ -266,70 +270,61 @@ type cellPlan struct {
 // the grid contains. Grid points the family reports infeasible (e.g.
 // k > n−1 for the restricted families) are skipped.
 func (s *Spec) Compile() ([]Job, error) {
-	jobs, _, _, err := s.compile()
-	return jobs, err
+	canon, cells, total, err := s.plan()
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]Job, 0, total)
+	for i := range cells {
+		jobs = cells[i].appendJobs(&canon, jobs)
+	}
+	return jobs, nil
 }
 
-// errEmptyGrid is the shared construction of the "nothing to run" error,
-// used by jobCount and compile so the two paths cannot drift.
-func errEmptyGrid() error {
-	return fmt.Errorf("campaign: spec compiles to an empty grid (every scenario infeasible?)")
+// JobCount returns the number of jobs the spec compiles to, one per
+// trial of every feasible cell, without building any.
+func (s *Spec) JobCount() (int, error) {
+	_, _, total, err := s.plan()
+	return total, err
 }
 
-// jobCount returns the number of jobs the spec compiles to, without
-// building closures or splitting sources — cheap enough to call on every
-// checkpoint open even for million-job grids.
-func (s *Spec) jobCount() (int, error) {
+// plan validates the spec and lays out its grid in Compile's order: the
+// canonical spec, its feasible cells, and the total job count.
+func (s *Spec) plan() (Spec, []cellPlan, int, error) {
 	canon, grounds, err := s.canonical()
 	if err != nil {
-		return 0, err
+		return Spec{}, nil, 0, err
 	}
-	total := 0
-	for _, g := range grounds {
-		for _, n := range canon.Ns {
-			if g.feasible(n) {
-				total += canon.Trials
-			}
-		}
-	}
-	if total == 0 {
-		return 0, errEmptyGrid()
-	}
-	return total, nil
-}
-
-func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
-	canon, grounds, err := s.canonical()
-	if err != nil {
-		return nil, nil, Spec{}, err
-	}
-	goal := canon.goal()
-	var jobs []Job
 	var cells []cellPlan
+	total := 0
 	for _, g := range grounds {
 		for _, n := range canon.Ns {
 			if !g.feasible(n) {
 				continue
 			}
-			cell := g.cellName(n)
-			plan := cellPlan{Cell: cell, Key: canon.cellCacheKey(g, n), Scenario: g.scenario(), N: n}
-			root := rng.New(canon.cellSeed(g, n))
-			for trial := 0; trial < canon.Trials; trial++ {
-				plan.JobIdx = append(plan.JobIdx, len(jobs))
-				jobs = append(jobs, Job{
-					Index: len(jobs),
-					Cell:  cell,
-					Src:   root.Split(),
-					Run:   runCellTrial(g, n, cell, goal, canon.MaxRounds),
-				})
-			}
-			cells = append(cells, plan)
+			cells = append(cells, cellPlan{
+				Cell: g.cellName(n), Key: canon.cellCacheKey(g, n), Scenario: g.scenario(), N: n,
+				First: total, Trials: canon.Trials, ground: g,
+			})
+			total += canon.Trials
 		}
 	}
-	if len(jobs) == 0 {
-		return nil, nil, Spec{}, errEmptyGrid()
+	if total == 0 {
+		return Spec{}, nil, 0, fmt.Errorf("campaign: spec compiles to an empty grid (every scenario infeasible?)")
 	}
-	return jobs, cells, canon, nil
+	return canon, cells, total, nil
+}
+
+// appendJobs appends the cell's jobs to dst in trial order. Each owns a
+// source split serially from the cell's content-addressed root, and all
+// share the cell's runCellTrial closure.
+func (c *cellPlan) appendJobs(canon *Spec, dst []Job) []Job {
+	root := rng.New(canon.cellSeed(c.ground, c.N))
+	run := runCellTrial(c.ground, c.N, c.Cell, canon.goal(), canon.MaxRounds)
+	for t := 0; t < c.Trials; t++ {
+		dst = append(dst, Job{Index: c.First + t, Cell: c.Cell, Src: root.Split(), Run: run})
+	}
+	return dst
 }
 
 // runCellTrial is the closure of every compiled grid job: the trial runs
@@ -375,141 +370,196 @@ type Outcome struct {
 	Reused    int `json:"-"` // jobs satisfied from Config.Completed (checkpoint)
 }
 
-// cellEntry is the JSON value stored in the cell cache: all of a cell's
-// per-trial measurements, in trial order.
-type cellEntry struct {
-	Cell   string          `json:"cell"`
-	Trials [][]Measurement `json:"trials"`
+// observe counts one job result into the outcome and pools its
+// measurements. Skipped jobs count nowhere; failed jobs contribute
+// their error and no measurements.
+func (o *Outcome) observe(p *pool, r JobResult) {
+	switch {
+	case r.Skipped:
+	case r.Err != nil:
+		o.Failed++
+		o.Errors = append(o.Errors, r.Err.Error())
+	default:
+		o.Completed++
+		for _, m := range r.Measurements {
+			p.add(m.Cell, m.Value)
+		}
+	}
 }
 
-// RunSpec compiles and executes the spec on cfg's worker pool and
+// Where RunSpec reads a cell that gets no jobs.
+const (
+	fromCheckpoint = -1 // every trial is in Config.Completed
+	fromCache      = -2 // the cell's cache entry decoded
+)
+
+// RunSpec plans and executes the spec on cfg's worker pool and
 // aggregates per-cell statistics. Job failures do not abort the campaign:
 // they are counted and recorded (in job-index order) in Outcome.Errors.
 // The returned error is non-nil only for an invalid spec, a cache backend
 // failure, or a cancelled context; on cancellation the partial Outcome is
 // still returned.
 //
-// When cfg.Cache is set, each cell whose content address is present in
-// the cache is served from it (its jobs never reach the pool), and each
-// cell computed fresh and fully successful is stored back. When
-// cfg.Completed holds checkpointed results, those jobs are reused
-// likewise. Either way the aggregated Outcome — and its JSON artifact —
-// is byte-identical to an uncached, uninterrupted run, because results
-// are observed in job-index order regardless of provenance.
+// Before any job exists, each cell is given one source. A cell whose
+// trials cfg.Completed (checkpointed results) all holds is read from
+// there; otherwise, when cfg.Cache is set, a cell whose content address
+// holds a well-formed entry is read from the cache — trials the
+// checkpoint also holds still come from the checkpoint. Only the
+// remaining cells get jobs, and each of those computed fresh and fully
+// successful is stored back. Cost therefore follows the cells that run,
+// not the grid's trials. The aggregated Outcome — and its JSON artifact —
+// is byte-identical to an uncached, uninterrupted run, because every
+// source is pooled in job-index order.
 func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
-	jobs, cells, canon, err := spec.compile()
+	canon, cells, total, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}
 	mRunsStarted.Inc()
 	mRunsActive.Inc()
 	defer mRunsActive.Dec()
-	// Copy so the cache pass below can add entries without mutating the
-	// caller's map. Run is the single splice point: it ignores
-	// out-of-range indexes, so only in-range entries count as reused.
-	completed := make(map[int]JobResult, len(cfg.Completed))
+	// Only in-range checkpoint entries count as reused: the run and the
+	// pooling below ignore the rest.
 	reused := 0
-	for idx, r := range cfg.Completed {
-		completed[idx] = r
-		if idx >= 0 && idx < len(jobs) {
+	for idx := range cfg.Completed {
+		if idx >= 0 && idx < total {
 			reused++
 		}
 	}
-	cacheHits := 0
-	var misses []cellPlan // cells to store after a fresh computation
-	if cfg.Cache != nil {
-		for _, c := range cells {
-			if covered(completed, c.JobIdx) {
-				continue // fully checkpointed; no cache involvement needed
-			}
-			data, ok, err := cfg.Cache.Get(c.Key)
+	// pos[i] is the position of cell i's first job in jobs, or where the
+	// cell is read from when it gets none.
+	pos := make([]int, len(cells))
+	hits := make([]CellEntry, len(cells))
+	var jobs []Job
+	var run []cellPlan
+	for i := range cells {
+		c := &cells[i]
+		if covered(cfg.Completed, c.First, c.Trials) {
+			pos[i] = fromCheckpoint
+			continue
+		}
+		if cfg.Cache != nil {
+			ent, ok, err := readCell(cfg.Cache, c)
 			if err != nil {
-				return nil, fmt.Errorf("campaign: cache get %s: %w", c.Cell, err)
+				return nil, err
 			}
-			if !ok {
-				misses = append(misses, c)
+			if ok {
+				pos[i], hits[i] = fromCache, ent
 				continue
-			}
-			var ent cellEntry
-			if err := json.Unmarshal(data, &ent); err != nil || len(ent.Trials) != len(c.JobIdx) {
-				// A truncated, torn, or foreign entry is a miss, never an
-				// error: the cell is recomputed (the determinism contract
-				// makes the recomputation byte-identical to what the entry
-				// should have held). Backends that can delete also heal —
-				// the bad bytes are evicted immediately instead of being
-				// served to readers that never Put (the warehouse query
-				// layer) until some campaign overwrites them.
-				if d, ok := cfg.Cache.(cache.Deleter); ok {
-					if derr := d.Delete(c.Key); derr != nil {
-						return nil, fmt.Errorf("campaign: cache delete %s: %w", c.Cell, derr)
-					}
-				}
-				misses = append(misses, c)
-				continue
-			}
-			for ti, idx := range c.JobIdx {
-				if _, have := completed[idx]; have {
-					continue
-				}
-				completed[idx] = JobResult{Index: idx, Measurements: ent.Trials[ti]}
-				cacheHits++
 			}
 		}
+		pos[i] = len(jobs)
+		jobs = c.appendJobs(&canon, jobs)
+		run = append(run, *c)
 	}
 	runCfg := cfg
-	runCfg.Completed = completed
+	if cfg.Progress != nil {
+		// Cells without jobs were satisfied up front; progress still
+		// counts over the whole grid.
+		ahead := total - len(jobs)
+		runCfg.Progress = func(done, _ int) { cfg.Progress(done+ahead, total) }
+	}
 	var results []JobResult
 	var runErr error
 	if cfg.Remote != nil {
-		results, runErr = runRemote(ctx, jobs, cells, canon, runCfg)
+		results, runErr = runRemote(ctx, jobs, run, canon, runCfg)
 	} else {
 		results, runErr = Run(ctx, jobs, runCfg)
 	}
 	if cfg.Cache != nil && runErr == nil {
-		for _, c := range misses {
-			ent := cellEntry{Cell: c.Cell, Trials: make([][]Measurement, len(c.JobIdx))}
-			storable := true
-			for ti, idx := range c.JobIdx {
-				r := results[idx]
-				if r.Skipped || r.Err != nil {
-					storable = false
-					break
+		for i := range cells {
+			if pos[i] >= 0 {
+				if err := storeCell(cfg.Cache, &cells[i], results[pos[i]:pos[i]+cells[i].Trials]); err != nil {
+					return nil, err
 				}
-				ent.Trials[ti] = r.Measurements
-			}
-			if !storable {
-				continue
-			}
-			data, err := json.Marshal(ent)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: encoding cache entry %s: %w", c.Cell, err)
-			}
-			if err := cfg.Cache.Put(c.Key, data); err != nil {
-				return nil, fmt.Errorf("campaign: cache put %s: %w", c.Cell, err)
 			}
 		}
 	}
-	out := &Outcome{
-		Spec: canon, Jobs: len(jobs), Cells: Aggregate(results),
-		CacheHits: cacheHits, Reused: reused,
-	}
-	for _, r := range results {
+	out := &Outcome{Spec: canon, Jobs: total, Reused: reused}
+	var p pool
+	var buf []Measurement
+	for i := range cells {
+		c := &cells[i]
 		switch {
-		case r.Skipped:
-		case r.Err != nil:
-			out.Failed++
-			out.Errors = append(out.Errors, r.Err.Error())
+		case pos[i] >= 0:
+			for _, r := range results[pos[i] : pos[i]+c.Trials] {
+				out.observe(&p, r)
+			}
+		case pos[i] == fromCache && len(cfg.Completed) == 0:
+			p.addEntry(&hits[i])
+			out.Completed += c.Trials
+			out.CacheHits += c.Trials
 		default:
-			out.Completed++
+			for t := 0; t < c.Trials; t++ {
+				if r, ok := cfg.Completed[c.First+t]; ok {
+					r.Index, r.Skipped = c.First+t, false
+					out.observe(&p, r)
+					continue
+				}
+				buf = hits[i].trial(t, buf[:0])
+				out.observe(&p, JobResult{Index: c.First + t, Measurements: buf})
+				out.CacheHits++
+			}
 		}
 	}
-	out.Executed = out.Completed + out.Failed - cacheHits - reused
+	out.Cells = p.stats()
+	out.Executed = out.Completed + out.Failed - out.CacheHits - reused
 	return out, runErr
 }
 
-// covered reports whether every index in idxs is present in completed.
-func covered(completed map[int]JobResult, idxs []int) bool {
-	for _, idx := range idxs {
+// readCell looks cell c up in the cache. An entry that does not decode
+// to exactly c's trial count — truncated, torn, or foreign — is a miss,
+// never an error: the cell is recomputed (the determinism contract makes
+// the recomputation byte-identical to what the entry should have held).
+// Backends that can delete also heal — the bad bytes are evicted
+// immediately instead of being served to readers that never Put (the
+// warehouse query layer) until some campaign overwrites them.
+func readCell(cc cache.Cache, c *cellPlan) (CellEntry, bool, error) {
+	data, ok, err := cc.Get(c.Key)
+	if err != nil {
+		return CellEntry{}, false, fmt.Errorf("campaign: cache get %s: %w", c.Cell, err)
+	}
+	if !ok {
+		return CellEntry{}, false, nil
+	}
+	if ent, err := DecodeCellEntry(data); err == nil && ent.Trials() == c.Trials {
+		return ent, true, nil
+	}
+	if d, ok := cc.(cache.Deleter); ok {
+		if err := d.Delete(c.Key); err != nil {
+			return CellEntry{}, false, fmt.Errorf("campaign: cache delete %s: %w", c.Cell, err)
+		}
+	}
+	return CellEntry{}, false, nil
+}
+
+// storeCell puts a freshly run cell into the cache, unless one of its
+// trials failed or was skipped.
+func storeCell(cc cache.Cache, c *cellPlan, results []JobResult) error {
+	trials := make([][]Measurement, len(results))
+	for t, r := range results {
+		if r.Skipped || r.Err != nil {
+			return nil
+		}
+		trials[t] = r.Measurements
+	}
+	data, err := encodeCellEntry(c.Cell, trials)
+	if err != nil {
+		return fmt.Errorf("campaign: encoding cache entry %s: %w", c.Cell, err)
+	}
+	if err := cc.Put(c.Key, data); err != nil {
+		return fmt.Errorf("campaign: cache put %s: %w", c.Cell, err)
+	}
+	return nil
+}
+
+// covered reports whether completed holds every job index in
+// [first, first+n).
+func covered(completed map[int]JobResult, first, n int) bool {
+	if len(completed) < n {
+		return false
+	}
+	for idx := first; idx < first+n; idx++ {
 		if _, ok := completed[idx]; !ok {
 			return false
 		}

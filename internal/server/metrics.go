@@ -24,6 +24,10 @@ var (
 		"Live /stream subscribers (JSONL and SSE).")
 	mCampaignsSubmitted = metrics.Default.Counter("server_campaigns_submitted_total",
 		"Campaign specs accepted by POST /campaigns.")
+	gRunsKept = metrics.Default.Gauge("server_campaigns_finished_kept",
+		"Finished campaigns still served by GET /campaigns/{id}; beyond the server's cap the oldest are evicted.")
+	mRunsEvicted = metrics.Default.Counter("server_campaigns_evicted_total",
+		"Finished campaigns dropped from GET /campaigns beyond the kept limit; their results stay in the warehouse.")
 )
 
 // statusRecorder captures the response status for the request counter

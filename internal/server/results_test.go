@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dyntreecast/internal/metrics"
 	"dyntreecast/internal/store"
 )
 
@@ -243,6 +245,68 @@ func TestDashboardHasResultsSection(t *testing.T) {
 	for _, want := range []string{"Results warehouse", "loadResults", "next_cursor"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("dashboard HTML missing %q", want)
+		}
+	}
+}
+
+// TestFinishedRunsCapped: the daemon keeps at most maxFinishedRuns
+// finished campaigns. The oldest beyond the cap answer 404 on
+// /campaigns/{id} and leave the listing, while /results still serves
+// their rows; running campaigns are never dropped, and the kept gauge
+// and eviction counter lint clean.
+func TestFinishedRunsCapped(t *testing.T) {
+	srv, ts, _ := storeServer(t)
+	id, _ := submit(t, ts, specJSON)
+	waitDone(t, ts, id)
+	// Shutdown waits for the run to be ingested and retired.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := scrape(t, ts)
+
+	srv.mu.Lock()
+	srv.campaigns["live"] = &run{id: "live", status: "running"}
+	srv.order = append(srv.order, "live")
+	srv.mu.Unlock()
+	for i := 0; i < maxFinishedRuns; i++ {
+		fake := fmt.Sprintf("fake%03d", i)
+		srv.mu.Lock()
+		srv.campaigns[fake] = &run{id: fake, status: "done"}
+		srv.order = append(srv.order, fake)
+		srv.mu.Unlock()
+		srv.retire(fake)
+	}
+
+	if code := getJSON(t, ts, "/campaigns/"+id, nil); code != http.StatusNotFound {
+		t.Errorf("GET evicted campaign: status %d, want 404", code)
+	}
+	for _, kept := range []string{"live", "fake000", fmt.Sprintf("fake%03d", maxFinishedRuns-1)} {
+		if code := getJSON(t, ts, "/campaigns/"+kept, nil); code != http.StatusOK {
+			t.Errorf("GET kept campaign %s: status %d, want 200", kept, code)
+		}
+	}
+	srv.mu.Lock()
+	listed, finished := len(srv.order), len(srv.finished)
+	srv.mu.Unlock()
+	if listed != maxFinishedRuns+1 || finished != maxFinishedRuns {
+		t.Errorf("listed %d, finished %d; want %d and %d", listed, finished, maxFinishedRuns+1, maxFinishedRuns)
+	}
+	var page store.Page
+	if code := getJSON(t, ts, "/results?campaign="+id, &page); code != http.StatusOK || len(page.Rows) != 4 {
+		t.Errorf("/results for evicted campaign: status %d, %d rows; want 200 and 4", code, len(page.Rows))
+	}
+
+	after := scrape(t, ts)
+	if err := metrics.Lint(strings.NewReader(after)); err != nil {
+		t.Fatalf("exposition failed lint: %v", err)
+	}
+	// The registry is process-global, so assert deltas, not absolutes.
+	for series, want := range map[string]float64{
+		"server_campaigns_finished_kept": maxFinishedRuns - 1,
+		"server_campaigns_evicted_total": 1,
+	} {
+		if d := sampleValue(t, after, series) - sampleValue(t, before, series); d != want {
+			t.Errorf("%s moved by %v, want %v", series, d, want)
 		}
 	}
 }

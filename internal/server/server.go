@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,6 +92,11 @@ type Options struct {
 // Options.ReplayLimit is unset.
 const defaultReplayLimit = 65536
 
+// maxFinishedRuns bounds how many finished campaigns the server keeps
+// for GET /campaigns/{id} and its stream. Beyond it the oldest finished
+// run is dropped (404 from then on); its results stay in the warehouse.
+const maxFinishedRuns = 256
+
 // Server runs campaigns and serves their state over HTTP. It implements
 // http.Handler; use Shutdown for a graceful stop that checkpoints
 // in-flight campaigns.
@@ -103,6 +109,7 @@ type Server struct {
 	mu        sync.Mutex
 	campaigns map[string]*run
 	order     []string        // submission order, for listing
+	finished  []string        // finished runs still kept, oldest first
 	inUse     map[string]bool // checkpoint paths held by running campaigns
 	nextID    int
 	closed    bool
@@ -235,7 +242,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jobs, err := spec.Compile()
+	jobs, err := spec.JobCount()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -253,7 +260,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if limit <= 0 {
 		limit = defaultReplayLimit
 	}
-	r := &run{id: id, spec: spec, jobs: len(jobs), started: time.Now(), limit: limit, status: "running", notify: make(chan struct{})}
+	r := &run{id: id, spec: spec, jobs: jobs, started: time.Now(), limit: limit, status: "running", notify: make(chan struct{})}
 	s.campaigns[id] = r
 	s.order = append(s.order, id)
 	s.wg.Add(1)
@@ -261,8 +268,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	mCampaignsSubmitted.Inc()
 
 	go s.execute(r)
-	s.logf("campaign %s submitted: %d jobs", id, len(jobs))
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": len(jobs), "status": "running"})
+	s.logf("campaign %s submitted: %d jobs", id, jobs)
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": jobs, "status": "running"})
 }
 
 // checkpointPath returns the checkpoint file for a spec, or "" when
@@ -328,6 +335,26 @@ func (s *Server) execute(r *run) {
 		s.ingestOutcome(r.id, outcome)
 	}
 	s.logf("campaign %s: %s", r.id, r.statusLine())
+	s.retire(r.id)
+}
+
+// retire records that run id finished and drops the oldest finished runs
+// beyond maxFinishedRuns. Running campaigns are never dropped.
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, id)
+	gRunsKept.Inc()
+	for len(s.finished) > maxFinishedRuns {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.campaigns, old)
+		if i := slices.Index(s.order, old); i >= 0 {
+			s.order = slices.Delete(s.order, i, i+1)
+		}
+		gRunsKept.Dec()
+		mRunsEvicted.Inc()
+	}
 }
 
 func (r *run) onResult(res campaign.JobResult) {

@@ -29,6 +29,17 @@ type Summary struct {
 // Summarize computes a Summary of xs. An empty sample yields a zero
 // Summary.
 func Summarize(xs []float64) Summary {
+	if len(xs) == 0 {
+		return Summary{}
+	}
+	return SummarizeSorted(xs, Sorted(xs))
+}
+
+// SummarizeSorted is Summarize for a caller that already holds sorted,
+// xs in ascending order: the median comes from sorted instead of a
+// fresh sort. The sums still fold xs in its own order, so the result is
+// bit-identical to Summarize(xs).
+func SummarizeSorted(xs, sorted []float64) Summary {
 	n := len(xs)
 	if n == 0 {
 		return Summary{}
@@ -53,8 +64,16 @@ func Summarize(xs []float64) Summary {
 		}
 		s.StdDev = math.Sqrt(ss / float64(n-1))
 	}
-	s.Median = Percentile(xs, 50)
+	s.Median = PercentileSorted(sorted, 50)
 	return s
+}
+
+// Sorted returns an ascending copy of xs.
+func Sorted(xs []float64) []float64 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return sorted
 }
 
 // SummarizeInts converts and summarizes integer measurements (the common
@@ -71,16 +90,19 @@ func SummarizeInts(xs []int) Summary {
 // interpolation between closest ranks. It returns 0 for an empty sample
 // and panics on out-of-range p.
 func Percentile(xs []float64, p float64) float64 {
+	return PercentileSorted(Sorted(xs), p)
+}
+
+// PercentileSorted is Percentile of a sample already in ascending order,
+// without the sorted copy.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", p))
 	}
-	n := len(xs)
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if n == 1 {
 		return sorted[0]
 	}

@@ -42,6 +42,42 @@ type Row struct {
 // ordering of the joined key.
 func (r Row) sortKey() string { return r.Campaign + "\x00" + r.Cell }
 
+// indexRow is one row of the warehouse index: a manifest and one of its
+// cell records, both shared, never copied.
+type indexRow struct {
+	m *manifest
+	c *manifestCell
+}
+
+// rowsOf returns m's index rows, in m's cell order.
+func rowsOf(m *manifest) []indexRow {
+	rows := make([]indexRow, len(m.Cells))
+	for i, c := range m.Cells {
+		rows[i] = indexRow{m, c}
+	}
+	return rows
+}
+
+// compareRows orders index rows by (campaign, cell), the cursor order,
+// without building their sort keys.
+func compareRows(a, b indexRow) int {
+	if c := strings.Compare(a.m.ID, b.m.ID); c != 0 {
+		return c
+	}
+	return strings.Compare(a.c.Cell, b.c.Cell)
+}
+
+// row materializes the queryable Row.
+func (r indexRow) row() Row {
+	m, c := r.m, r.c
+	return Row{
+		Campaign: m.ID, Cell: c.Cell, Adversary: c.Adversary, Params: c.Params,
+		N: c.N, Goal: m.Goal, Engine: m.Engine, Key: c.Key, Trials: c.Trials,
+		Count: c.Stats.Count, Mean: c.Stats.Mean, StdDev: c.Stats.StdDev,
+		Min: c.Stats.Min, Max: c.Stats.Max, P50: c.Stats.P50, P99: c.Stats.P99,
+	}
+}
+
 // Filter selects warehouse rows. Zero fields do not constrain; N, NMin
 // and NMax compose (an exact N wins).
 type Filter struct {
@@ -140,17 +176,18 @@ func (s *Store) Query(f Filter) (Page, error) {
 		}
 	}
 	// Binary-search past the cursor, then scan.
-	i := sort.Search(len(s.rows), func(i int) bool { return s.rows[i].sortKey() > after })
+	i := sort.Search(len(s.rows), func(i int) bool { return s.rows[i].row().sortKey() > after })
 	page := Page{Rows: []Row{}}
 	for ; i < len(s.rows); i++ {
-		if !f.match(s.rows[i]) {
+		r := s.rows[i].row()
+		if !f.match(r) {
 			continue
 		}
 		if len(page.Rows) == limit {
 			page.NextCursor = encodeCursor(page.Rows[limit-1].sortKey())
 			break
 		}
-		page.Rows = append(page.Rows, s.rows[i])
+		page.Rows = append(page.Rows, r)
 	}
 	return page, nil
 }
@@ -190,16 +227,11 @@ func (s *Store) Diff(a, b string) (DiffResult, error) {
 	if !ok {
 		return DiffResult{}, fmt.Errorf("%w: %s", ErrNotFound, b)
 	}
-	rowOf := func(m *manifest, c manifestCell) *Row {
-		r := Row{
-			Campaign: m.ID, Cell: c.Cell, Adversary: c.Adversary, Params: c.Params,
-			N: c.N, Goal: m.Goal, Engine: m.Engine, Key: c.Key, Trials: c.Trials,
-			Count: c.Stats.Count, Mean: c.Stats.Mean, StdDev: c.Stats.StdDev,
-			Min: c.Stats.Min, Max: c.Stats.Max, P50: c.Stats.P50, P99: c.Stats.P99,
-		}
+	rowOf := func(m *manifest, c *manifestCell) *Row {
+		r := indexRow{m, c}.row()
 		return &r
 	}
-	cellsB := make(map[string]manifestCell, len(mb.Cells))
+	cellsB := make(map[string]*manifestCell, len(mb.Cells))
 	for _, c := range mb.Cells {
 		cellsB[c.Cell] = c
 	}
@@ -337,7 +369,8 @@ func (s *Store) Curves(f CurveFilter) []Curve {
 		n              int
 	}
 	points := make(map[pointKey]map[string]CurveMeasure)
-	for _, r := range s.rows {
+	for _, ir := range s.rows {
+		r := ir.row()
 		if f.Adversary != "" && r.Adversary != f.Adversary {
 			continue
 		}

@@ -36,6 +36,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +45,6 @@ import (
 
 	"dyntreecast/internal/campaign"
 	"dyntreecast/internal/campaign/cache"
-	"dyntreecast/internal/stats"
 )
 
 // manifestFormat tags manifest files so foreign JSON in campaigns/ is
@@ -82,14 +83,14 @@ type manifestCell struct {
 
 // manifest is the on-disk record of one ingested campaign.
 type manifest struct {
-	Format   string         `json:"format"`
-	ID       string         `json:"id"`
-	Source   string         `json:"source"`
-	Engine   string         `json:"engine,omitempty"`
-	SpecHash string         `json:"spec_hash,omitempty"`
-	Goal     string         `json:"goal"`
-	Seed     uint64         `json:"seed,omitempty"`
-	Cells    []manifestCell `json:"cells"`
+	Format   string          `json:"format"`
+	ID       string          `json:"id"`
+	Source   string          `json:"source"`
+	Engine   string          `json:"engine,omitempty"`
+	SpecHash string          `json:"spec_hash,omitempty"`
+	Goal     string          `json:"goal"`
+	Seed     uint64          `json:"seed,omitempty"`
+	Cells    []*manifestCell `json:"cells"`
 }
 
 // Store is the warehouse handle. Safe for concurrent use: queries take a
@@ -102,7 +103,8 @@ type Store struct {
 
 	mu        sync.RWMutex
 	manifests map[string]*manifest
-	rows      []Row // sorted by (Campaign, Cell) — the cursor order
+	rows      []indexRow               // sorted by (Campaign, Cell) — the cursor order
+	records   map[string]*manifestCell // the shared cell record per content address
 	pins      map[string]bool
 
 	// exactMu guards the per-store memo of exact gamesolver values
@@ -135,6 +137,7 @@ func Open(dir string) (*Store, error) {
 		cells:     cells,
 		gate:      gate,
 		manifests: make(map[string]*manifest),
+		records:   make(map[string]*manifestCell),
 		pins:      make(map[string]bool),
 		exactVals: make(map[int]int),
 	}
@@ -153,6 +156,7 @@ func Open(dir string) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.share(m)
 		s.manifests[m.ID] = m
 	}
 	s.reindex()
@@ -186,6 +190,11 @@ func loadManifest(path string) (*manifest, error) {
 	}
 	if m.Format != manifestFormat || m.ID == "" {
 		return nil, fmt.Errorf("store: %s is not a %s manifest", path, manifestFormat)
+	}
+	for i, c := range m.Cells {
+		if c == nil {
+			m.Cells[i] = &manifestCell{} // a null cell reads as the zero cell
+		}
 	}
 	return &m, nil
 }
@@ -236,48 +245,70 @@ func checkID(id string) error {
 }
 
 // install registers m in the index (replacing any previous manifest with
-// the same id) after persisting it.
+// the same id) after persisting it. The index changes only in m's own
+// block of rows, so an ingest costs m's cells, not the warehouse's.
 func (s *Store) install(m *manifest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.saveManifest(m); err != nil {
 		return err
 	}
+	s.share(m)
 	s.manifests[m.ID] = m
-	s.reindex()
+	block := rowsOf(m)
+	slices.SortStableFunc(block, compareRows)
+	lo, _ := slices.BinarySearchFunc(s.rows, m.ID, func(r indexRow, id string) int {
+		return strings.Compare(r.m.ID, id)
+	})
+	hi := lo
+	for hi < len(s.rows) && s.rows[hi].m.ID == m.ID {
+		hi++
+	}
+	s.rows = slices.Replace(s.rows, lo, hi, block...)
+	s.setGauges()
 	mIngests.Inc()
 	return nil
 }
 
-// reindex rebuilds the sorted row slice from the manifests. Must be
-// called with mu held.
-func (s *Store) reindex() {
-	rows := make([]Row, 0, len(s.rows))
-	for _, m := range s.manifests {
-		for _, c := range m.Cells {
-			rows = append(rows, Row{
-				Campaign:  m.ID,
-				Cell:      c.Cell,
-				Adversary: c.Adversary,
-				Params:    c.Params,
-				N:         c.N,
-				Goal:      m.Goal,
-				Engine:    m.Engine,
-				Key:       c.Key,
-				Trials:    c.Trials,
-				Count:     c.Stats.Count,
-				Mean:      c.Stats.Mean,
-				StdDev:    c.Stats.StdDev,
-				Min:       c.Stats.Min,
-				Max:       c.Stats.Max,
-				P50:       c.Stats.P50,
-				P99:       c.Stats.P99,
-			})
+// share points m's cells at the warehouse's record for their content
+// address wherever every field is equal, and makes m's cell the record
+// where none is. A cell the warehouse already holds therefore costs
+// another row, not another copy of its key, name and params. Must be
+// called with mu held, or before the store is shared.
+func (s *Store) share(m *manifest) {
+	for i, c := range m.Cells {
+		if c.Key == "" {
+			continue // stats-only rows have no content address
 		}
+		if rec := s.records[c.Key]; rec != nil && rec.equal(c) {
+			m.Cells[i] = rec
+			continue
+		}
+		s.records[c.Key] = c
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].sortKey() < rows[j].sortKey() })
+}
+
+// equal reports whether two cell records agree in every field.
+func (c *manifestCell) equal(o *manifestCell) bool {
+	return c.Cell == o.Cell && c.Key == o.Key && c.Adversary == o.Adversary && c.N == o.N &&
+		c.Trials == o.Trials && c.Stats == o.Stats && reflect.DeepEqual(c.Params, o.Params)
+}
+
+// reindex rebuilds the sorted row index from the manifests, as Open
+// does. Must be called with mu held.
+func (s *Store) reindex() {
+	rows := make([]indexRow, 0, len(s.rows))
+	for _, m := range s.manifests {
+		rows = append(rows, rowsOf(m)...)
+	}
+	slices.SortStableFunc(rows, compareRows)
 	s.rows = rows
-	gRows.Set(float64(len(rows)))
+	s.setGauges()
+}
+
+// setGauges publishes the index size. Must be called with mu held.
+func (s *Store) setGauges() {
+	gRows.Set(float64(len(s.rows)))
 	gCampaigns.Set(float64(len(s.manifests)))
 }
 
@@ -306,37 +337,19 @@ func (t touching) Put(key string, data []byte) error { return t.dir.Put(key, dat
 // working against a store-backed cache.
 func (t touching) Delete(key string) error { return t.dir.Delete(key) }
 
-// cellEntry mirrors the campaign cache entry format: the per-trial
-// measurement lists of one cell, in trial order.
-type cellEntry struct {
-	Cell   string `json:"cell"`
-	Trials [][]struct {
-		Cell  string  `json:"cell"`
-		Value float64 `json:"value"`
-	} `json:"trials"`
-}
-
-// statsOf aggregates a cell entry exactly the way campaign.Aggregate
-// summarizes the live run — values pooled in trial order — so warehouse
-// stats match the artifact's numbers bit for bit.
-func statsOf(ent cellEntry, cell string) rowStats {
-	var xs []float64
-	for _, trial := range ent.Trials {
-		for _, m := range trial {
-			if m.Cell == cell {
-				xs = append(xs, m.Value)
-			}
-		}
-	}
-	sum := stats.Summarize(xs)
+// statsOf aggregates the values an entry holds for cell exactly the way
+// campaign.Aggregate summarizes the live run — pooled in trial order —
+// so warehouse stats match the artifact's numbers bit for bit.
+func statsOf(ent *campaign.CellEntry, cell string) rowStats {
+	cs := campaign.CellStatsOf(cell, ent.Values(cell))
 	return rowStats{
-		Count:  sum.Count,
-		Mean:   sum.Mean,
-		StdDev: sum.StdDev,
-		Min:    sum.Min,
-		Max:    sum.Max,
-		P50:    stats.Percentile(xs, 50),
-		P99:    stats.Percentile(xs, 99),
+		Count:  cs.Count,
+		Mean:   cs.Mean,
+		StdDev: cs.StdDev,
+		Min:    cs.Min,
+		Max:    cs.Max,
+		P50:    cs.P50,
+		P99:    cs.P99,
 	}
 }
 
@@ -348,9 +361,10 @@ func (s *Store) IngestOutcome(id string, out *campaign.Outcome) (int, error) {
 	return s.IngestSpec(id, out.Spec)
 }
 
-// IngestSpec indexes the spec's grid cells under campaign id. Cells are
-// read back from the cell byte store by content address: per-trial data
-// is aggregated into the row's stats, and cells with no stored bytes
+// IngestSpec indexes the spec's grid cells under campaign id. The spec is
+// planned, not compiled, and cells are read back from the cell byte
+// store by content address: per-trial data is aggregated into the row's
+// stats, and cells with no stored bytes
 // (failed, cancelled, or never cached) are skipped. Returns the number
 // of cells ingested; ingesting a spec none of whose cells have bytes is
 // an error, not an empty campaign. Re-ingesting an id replaces it.
@@ -387,22 +401,22 @@ func (s *Store) IngestSpec(id string, spec campaign.Spec) (int, error) {
 		if !ok {
 			continue
 		}
-		var ent cellEntry
-		if err := json.Unmarshal(data, &ent); err != nil || len(ent.Trials) != j.Trials {
+		ent, err := campaign.DecodeCellEntry(data)
+		if err != nil || ent.Trials() != j.Trials {
 			// Corrupt bytes under the content address: heal like the
 			// campaign layer does and skip the cell.
 			s.cells.Delete(j.Key)
 			continue
 		}
 		sc := j.Spec.Scenarios[0]
-		m.Cells = append(m.Cells, manifestCell{
+		m.Cells = append(m.Cells, &manifestCell{
 			Cell:      j.Cell,
 			Key:       j.Key,
 			Adversary: sc.Adversary,
 			Params:    sc.Params,
 			N:         j.Spec.Ns[0],
 			Trials:    j.Trials,
-			Stats:     statsOf(ent, j.Cell),
+			Stats:     statsOf(&ent, j.Cell),
 		})
 	}
 	if len(m.Cells) == 0 {
@@ -524,7 +538,7 @@ func (s *Store) BackfillJSONL(id string, r io.Reader) (int, error) {
 			order = append(order, mid)
 		}
 		adv, n, params := parseCellName(rec.Cell)
-		m.Cells = append(m.Cells, manifestCell{
+		m.Cells = append(m.Cells, &manifestCell{
 			Cell:      rec.Cell,
 			Adversary: adv,
 			Params:    params,
